@@ -2,12 +2,12 @@
 
 Closed-form pointer-state observables (analytic), a truncated-Fock-space
 master-equation oracle (lindblad), second-order detector back-action rates
-(backaction), shared linear algebra and integration (core), and a
+(backaction), shared linear algebra and propagators (core), and a
 deterministic CSV command line (cli).
 """
 
 from .core import (DensityMatrix, FockSpace, NumericsError, SystemParams,
-                   annihilation, default_step, expectation, integrate,
+                   annihilation, expectation, expm_action, integrate,
                    is_hermitian, number_operator, partial_trace,
                    qubit_operator, tensor)
 from .analytic import (OverlapDecay, PointerState, SteadyAmplitudes,

@@ -23,7 +23,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import analytic, backaction, lindblad
-from .core import DensityMatrix, FockSpace, NumericsError, SystemParams, tensor
+from .core import (DensityMatrix, FockSpace, NumericsError, SystemParams,
+                   fock_vacuum, tensor)
 
 __all__ = [
     "ConfigError",
@@ -186,6 +187,12 @@ def parse_config(text: str, mode: Optional[str] = None,
         raise ConfigError(f"t_step must be > 0, got {cfg.t_step}")
     if cfg.t_max < cfg.t_step:
         raise ConfigError(f"t_max must be >= t_step, got {cfg.t_max}")
+    if mode == "lindblad":
+        nearest = _grid_intervals(cfg) * cfg.t_step
+        if abs(nearest - cfg.t_max) > 1e-9 * cfg.t_max:
+            raise ConfigError(f"t_max = {cfg.t_max:g} is not a multiple of "
+                              f"t_step = {cfg.t_step:g}; nearest valid t_max "
+                              f"is {nearest:.12g}")
     if cfg.fock_dim < 2:
         raise ConfigError(f"fock_dim must be >= 2, got {cfg.fock_dim}")
     if cfg.threads is not None and cfg.threads < 1:
@@ -313,9 +320,13 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     return SweepResult(columns=columns, rows=rows)
 
 
+def _grid_intervals(cfg: RunConfig) -> int:
+    # parse_config guarantees t_max >= t_step, so this is >= 1
+    return int(round(cfg.t_max / cfg.t_step))
+
+
 def _time_grid(cfg: RunConfig) -> np.ndarray:
-    n = int(round(cfg.t_max / cfg.t_step))
-    n = max(n, 1)
+    n = _grid_intervals(cfg)
     return np.linspace(0.0, n * cfg.t_step, n + 1)
 
 
@@ -326,9 +337,7 @@ def _build_liouvillian(cfg: RunConfig) -> lindblad.Liouvillian:
 
 
 def _vacuum_with_qubit(space: FockSpace, qubit: np.ndarray) -> DensityMatrix:
-    fock = np.zeros((space.dim, space.dim), dtype=complex)
-    fock[0, 0] = 1.0
-    return DensityMatrix(space, tensor(qubit, fock))
+    return DensityMatrix(space, tensor(qubit, fock_vacuum(space)))
 
 
 def run_lindblad(cfg: RunConfig):

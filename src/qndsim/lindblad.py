@@ -7,19 +7,27 @@ in the frame rotating at the drive frequency, on a truncated Fock space.
 The qubit-conditioned resonator detuning is delta_omega - g*sigma_z, so the
 sigma_z = +1 sector sees delta_omega - g (matching the pointer-state
 formulas in `analytic`).
+
+The generator does not depend on time in this frame, so evolve propagates
+it exactly: core.expm_action applies the truncated Taylor series of
+exp(L dt) through Liouvillian.apply alone, never forming the
+(2 dim)^2 x (2 dim)^2 superoperator.  The RK4 integrator in core remains
+only for the time-dependent reduced kernel in `backaction`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import (DensityMatrix, FockSpace, NumericsError, SystemParams,
-                   annihilation, default_step, integrate, number_operator,
-                   qubit_operator, tensor)
+# integrate is unused here but stays importable as lindblad.integrate,
+# which bench/trace_job.py wraps by that name
+from .core import (DensityMatrix, FockSpace, NumericsError, SystemParams,  # noqa: F401
+                   annihilation, expm_action, integrate,
+                   number_operator, qubit_operator, tensor)
 
 __all__ = [
     "Liouvillian",
@@ -40,9 +48,14 @@ _BRANCH_PRUNE = 1e-12
 class Liouvillian:
     """Precomputed generator: Hamiltonian plus weighted jump operators.
 
-    dissipators holds (coefficient, L, L+L) triples with the coefficient
-    already including any rate prefactor, so
-    apply(rho) = -i[H, rho] + sum_k c_k (L rho L+ - (L+L rho + rho L+L)/2).
+    dissipators holds (coefficient, L, L+) triples with the coefficient
+    already including any rate prefactor.  Construction folds the
+    anticommutators into the effective Hamiltonian
+    h_eff = H - (i/2) sum_k c_k L+L, so that
+    apply(rho) = -i(h_eff rho - rho h_eff+) + sum_k c_k L rho L+,
+    and bounds the 1-norm of that superoperator on rho flattened:
+    norm_bound = 2 ||h_eff - mu I||_1 + sum_k c_k ||L||_1^2, with mu the
+    midpoint of H's real diagonal (the shift cancels in the commutator).
     Immutable and safe to share across threads.
     """
 
@@ -51,12 +64,27 @@ class Liouvillian:
     coupling_mode: str
     hamiltonian: np.ndarray
     dissipators: tuple = field(default_factory=tuple)
+    h_eff: np.ndarray = field(init=False, repr=False, compare=False)
+    h_eff_dag: np.ndarray = field(init=False, repr=False, compare=False)
+    norm_bound: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        h_eff = np.array(self.hamiltonian, dtype=complex)
+        for c, l_op, l_dag in self.dissipators:
+            h_eff -= (0.5j * c) * (l_dag @ l_op)
+        diag = self.hamiltonian.diagonal().real
+        mu = 0.5 * (diag.max() + diag.min())
+        bound = 2.0 * np.linalg.norm(h_eff - mu * np.eye(len(h_eff)), 1)
+        bound += sum(c * np.linalg.norm(l_op, 1) ** 2
+                     for c, l_op, _ in self.dissipators)
+        object.__setattr__(self, "h_eff", h_eff)
+        object.__setattr__(self, "h_eff_dag", np.ascontiguousarray(h_eff.conj().T))
+        object.__setattr__(self, "norm_bound", float(bound))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        h = self.hamiltonian
-        out = -1j * (h @ rho - rho @ h)
-        for c, l_op, ldl in self.dissipators:
-            out += c * (l_op @ rho @ l_op.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
+        out = -1j * (self.h_eff @ rho - rho @ self.h_eff_dag)
+        for c, l_op, l_dag in self.dissipators:
+            out += c * (l_op @ rho @ l_dag)
         return out
 
 
@@ -130,13 +158,13 @@ def build_liouvillian(params: SystemParams, space: FockSpace,
     dissipators = []
     if params.kappa > 0.0:
         l_op = tensor(ident, a)
-        dissipators.append((params.kappa, l_op, l_op.conj().T @ l_op))
+        dissipators.append((params.kappa, l_op, l_op.conj().T))
     if params.gamma1 > 0.0:
         l_op = tensor(qubit_operator("sigma_minus"), i_f)
-        dissipators.append((params.gamma1, l_op, l_op.conj().T @ l_op))
+        dissipators.append((params.gamma1, l_op, l_op.conj().T))
     if params.gamma2 > 0.0:
         l_op = tensor(sz, i_f)
-        dissipators.append((params.gamma2 / 2.0, l_op, l_op.conj().T @ l_op))
+        dissipators.append((params.gamma2 / 2.0, l_op, l_op.conj().T))
 
     return Liouvillian(params=params, space=space, coupling_mode=coupling_mode,
                        hamiltonian=h, dissipators=tuple(dissipators))
@@ -158,18 +186,16 @@ def _observable_ops(space: FockSpace) -> dict:
 
 
 def evolve(liou: Liouvillian, rho0: DensityMatrix,
-           t_grid: Sequence[float], step: Optional[float] = None) -> EvolutionRecord:
-    """Integrate the master equation over t_grid (must start at 0).
+           t_grid: Sequence[float]) -> EvolutionRecord:
+    """Propagate the master equation exactly over t_grid (must start at 0).
 
-    step defaults to 1/(50 * fastest printed rate).  Raises NumericsError
-    if an evolved state stops satisfying the density-matrix tolerances.
+    Raises NumericsError if an evolved state stops satisfying the
+    density-matrix tolerances.
     """
     if rho0.space.dim != liou.space.dim:
         raise ValueError("rho0 lives on a different Fock space than the generator")
-    if step is None:
-        step = default_step(liou.params)
     t = np.asarray(t_grid, dtype=float)
-    mats = integrate(lambda _t, y: liou.apply(y), rho0.matrix, t, step)
+    mats = expm_action(liou.apply, rho0.matrix, t, liou.norm_bound)
 
     states = []
     for tk, m in zip(t, mats):
@@ -215,31 +241,23 @@ def conditional_amplitude(state: DensityMatrix, qubit_index: int) -> complex:
     return complex(np.einsum("ij,ji->", a, block) / weight)
 
 
-def _pointer_product(params: SystemParams, s: np.ndarray) -> np.ndarray:
-    # alpha_+(s) alpha_-(s)* with the regularized steady values -if/lambda
+def _ramp(lam: complex, t: float) -> complex:
+    # (1 - e^{-lam t}) / lam, with expm1 keeping small |lam t| accurate
+    return complex(-np.expm1(-lam * t) / lam)
+
+
+def _pointer_integral(params: SystemParams, t: float) -> complex:
+    """Integral_0^t alpha_+(s) alpha_-(s)* ds for the vacuum-start pointers.
+
+    alpha_+-(s) = (-if/lam_+-)(1 - e^{-lam_+- s}) with
+    lam_+- = kappa/2 + i(delta_omega +- g), so the integrand is a sum of
+    four exponentials and integrates in closed form:
+    f^2/(lam_+ lam_-*) [t - ramp(lam_+) - ramp(lam_-*) + ramp(kappa + 2ig)].
+    """
     lam_p = params.kappa / 2.0 + 1j * (params.delta_omega + params.g)
-    lam_m = params.kappa / 2.0 + 1j * (params.delta_omega - params.g)
-    a_p = (-1j * params.f / lam_p) * (1.0 - np.exp(-lam_p * s))
-    a_m = (-1j * params.f / lam_m) * (1.0 - np.exp(-lam_m * s))
-    return a_p * np.conj(a_m)
-
-
-def _simpson_adaptive(params: SystemParams, t: float, tol: float = 1e-10,
-                      n0: int = 8, n_max: int = 1 << 20) -> complex:
-    """Composite Simpson of the pointer product on [0, t], doubling until
-    the increment is below tol (absolute, relative to max(1, |I|))."""
-    n = n0
-    prev = None
-    while n <= n_max:
-        s = np.linspace(0.0, t, n + 1)
-        y = _pointer_product(params, s)
-        h = t / n
-        val = (h / 3.0) * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return complex(val)
-        prev = val
-        n *= 2
-    raise NumericsError(f"pointer-product quadrature failed to converge by n = {n_max}")
+    lam_mc = params.kappa / 2.0 - 1j * (params.delta_omega - params.g)
+    return params.f ** 2 / (lam_p * lam_mc) * (
+        t - _ramp(lam_p, t) - _ramp(lam_mc, t) + _ramp(lam_p + lam_mc, t))
 
 
 def coherence_solution(params: SystemParams, t: float, a10_0: complex) -> complex:
@@ -255,15 +273,14 @@ def coherence_solution(params: SystemParams, t: float, a10_0: complex) -> comple
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return complex(a10_0)
-    integral = _simpson_adaptive(params, float(t))
+    integral = _pointer_integral(params, float(t))
     exponent = -1j * (params.epsilon - 1j * params.gamma2) * t \
         - 2j * params.g * integral
     return complex(a10_0 * np.exp(exponent))
 
 
 def repeatability_experiment(liou: Liouvillian, rho0: DensityMatrix,
-                             t_meas: float, n_meas: int,
-                             step: Optional[float] = None) -> RepeatabilityStats:
+                             t_meas: float, n_meas: int) -> RepeatabilityStats:
     """Consecutive projective qubit measurements separated by free windows.
 
     Each round evolves every branch for t_meas, then projects the qubit
@@ -287,7 +304,7 @@ def repeatability_experiment(liou: Liouvillian, rho0: DensityMatrix,
     for round_idx in range(n_meas):
         next_branches = []
         for weight, state, last in branches:
-            rec = evolve(liou, state, window, step=step)
+            rec = evolve(liou, state, window)
             all_valid = all_valid and rec.valid
             m = rec.states[-1].matrix
             for k in (0, 1):

@@ -11,7 +11,7 @@ master-equation coherence keeps decaying exponentially at gamma_m: the lost
 coherence is carried away by the emitted field, which the instantaneous
 intracavity overlap cannot see.  The clause is implemented exactly as
 stated and fails at late times; the closed-form propagator check (2a)
-covers the same trajectory to 6e-9.
+covers the same trajectory to 5e-13.
 """
 
 import math
@@ -275,7 +275,7 @@ def test_criterion_6_measurement_repeatability():
     disagree = []
     for t_meas in (400.0, 800.0):
         st = repeatability_experiment(liou_n, _sector_vacuum(space, 0),
-                                      t_meas=t_meas, n_meas=2, step=0.04)
+                                      t_meas=t_meas, n_meas=2)
         disagree.append(1.0 - float(st.pair_agreement[0]))
     slope = (disagree[1] - disagree[0]) / 400.0
     ratio = slope / flip_rate

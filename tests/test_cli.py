@@ -19,6 +19,7 @@ from qndsim.cli import (
     ConfigError,
     RunConfig,
     _resolve_threads,
+    _time_grid,
     emit_csv,
     main,
     parse_config,
@@ -288,6 +289,21 @@ def test_main_error_exit_codes(tmp_path):
         assert main([]) == 2
         # unwritable output path
         assert main(["fig3", "-o", str(tmp_path / "no" / "dir" / "x.csv")]) == 4
+
+
+def test_lindblad_t_max_must_be_a_multiple_of_t_step():
+    # 2.05 / 0.1 used to round silently to a grid ending at 2.0
+    with pytest.raises(ConfigError, match="nearest valid t_max is 2$"):
+        parse_config("t_max = 2.05\nt_step = 0.1\n", mode="lindblad")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert main(["lindblad", "--set", "t_max=2.05", "--set", "t_step=0.1"]) == 2
+    assert "not a multiple of t_step" in err.getvalue()
+    # float-rounded multiples pass, as does the repeat window (t_step unused)
+    for t_max, t_step in ((40.0, 0.5), (20.0, 0.05), (4.0, 0.1), (0.3, 0.1)):
+        cfg = parse_config(f"t_max = {t_max}\nt_step = {t_step}\n", mode="lindblad")
+        assert len(_time_grid(cfg)) == round(t_max / t_step) + 1
+    parse_config("t_max = 2.05\nt_step = 0.1\n", mode="repeatability")
 
 
 def test_main_truncation_overflow_exits_3(tmp_path):

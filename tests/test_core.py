@@ -1,8 +1,8 @@
-"""Unit tests for the shared types, operators and the RK4 integrator.
+"""Unit tests for the shared types, operators and the two propagators.
 
 Oracles: operator algebra identities (commutators, partial traces of
 products), hand-built Kronecker layouts, and the exact solution of
-y' = c y for the integrator order measurement.
+y' = c y for the RK4 order measurement and the Taylor propagator.
 """
 
 import math
@@ -16,8 +16,8 @@ from qndsim.core import (
     NumericsError,
     SystemParams,
     annihilation,
-    default_step,
     expectation,
+    expm_action,
     fock_vacuum,
     integrate,
     is_hermitian,
@@ -181,14 +181,6 @@ def test_fock_vacuum():
 
 # ---------------------------------------------------------------- integrator
 
-def test_default_step_resolves_fastest_rate():
-    p = SystemParams(epsilon=10.0, g=0.3, kappa=0.1, f=1.0, delta_omega=0.0)
-    assert default_step(p) == pytest.approx(1.0 / 500.0)
-    p2 = SystemParams(epsilon=0.0, g=0.3, kappa=0.1, f=0.05, delta_omega=0.3)
-    # |delta_omega| + |g| = 0.6 dominates here
-    assert default_step(p2) == pytest.approx(1.0 / 30.0)
-
-
 def test_integrate_exponential_decay():
     lam = -0.8 + 0.3j
     ys = integrate(lambda t, y: lam * y, np.array([1.0 + 0j]),
@@ -242,3 +234,49 @@ def test_integrate_flags_nonfinite_blowup():
         with pytest.raises(NumericsError, match="non-finite state at t ="):
             integrate(lambda t, y: 1e3 * y, np.array([1.0 + 0j]),
                       [0.0, 100.0], step=1.0)
+
+
+# ---------------------------------------------------------------- exact propagator
+
+def test_expm_action_exact_on_irregular_nodes():
+    # norm * dt spans 1e-3 .. 1e3 across the grid
+    lam = -0.01 + 3.0j
+    grid = np.array([0.0, 1e-3 / abs(lam), 0.37, 1.0, 2.75, 300.0])
+    ys = expm_action(lambda y: lam * y, np.array([1.0 + 0j]), grid, abs(lam))
+    np.testing.assert_allclose([y[0] for y in ys], np.exp(lam * grid),
+                               rtol=1e-10)
+
+
+def test_expm_action_matrix_state_and_zero_operator():
+    a = np.array([[0.0, 1.0], [-1.0, 0.0]])    # exp(a t) is a rotation
+    y0 = np.eye(2, dtype=complex)
+    ys = expm_action(lambda y: a @ y, y0, [0.0, 0.5, 2.0], 1.0)
+    for t, y in zip((0.0, 0.5, 2.0), ys):
+        rot = np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
+        np.testing.assert_allclose(y, rot, atol=1e-15)
+    zs = expm_action(lambda y: 0.0 * y, y0, [0.0, 1.0], 0.0)
+    np.testing.assert_array_equal(zs[-1], y0)
+    assert zs[-1] is not zs[0]
+
+
+def test_expm_action_input_validation():
+    apply = lambda y: -y
+    y0 = np.array([1.0 + 0j])
+    with pytest.raises(ValueError, match="must start at 0"):
+        expm_action(apply, y0, [1.0, 2.0], 1.0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        expm_action(apply, y0, [0.0, 2.0, 1.0], 1.0)
+    with pytest.raises(ValueError, match="non-empty"):
+        expm_action(apply, y0, [], 1.0)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="norm must be"):
+            expm_action(apply, y0, [0.0, 1.0], bad)
+
+
+def test_expm_action_flags_nonfinite_state():
+    # the operator is far larger than the norm it claims, so the
+    # Taylor terms overflow within the first of two substeps (dt / s = 5)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericsError, match="non-finite state at t = 5$"):
+            expm_action(lambda y: 1e200 * y, np.array([1.0 + 0j]),
+                        [0.0, 10.0], 1.0)

@@ -2,14 +2,19 @@
 
 Oracles: block structure of hand-assembled Hamiltonians, the exactly
 solvable driven cavity (g = 0), the conditional-amplitude ODE solution,
-and the elementary antiderivative of the pointer product that feeds the
-closed-form coherence.
+the elementary antiderivative and scipy quadrature of the pointer product
+that feeds the closed-form coherence, and scipy.linalg.expm of the
+explicitly assembled superoperator for the exact propagator.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qndsim.analytic import alpha_of_t, gamma_m, pointer_state
 from qndsim.core import (
@@ -18,7 +23,9 @@ from qndsim.core import (
     NumericsError,
     SystemParams,
     annihilation,
+    expm_action,
     fock_vacuum,
+    integrate,
     number_operator,
     qubit_operator,
     tensor,
@@ -108,6 +115,88 @@ def test_dissipators_only_for_nonzero_rates():
     assert [c for c, _, _ in liou2.dissipators] == [0.1, 0.02, 0.025]
 
 
+# random generators for the property tests: both coupling modes, all
+# three dissipators on, fock_dim 6..8
+_GENERATOR_DRAW = dict(
+    fock_dim=st.integers(6, 8),
+    mode=st.sampled_from(["sigma_z", "sigma_n"]),
+    epsilon=st.floats(0.5, 10.0),
+    delta=st.floats(0.05, 0.5),
+    g=st.floats(0.0, 0.3),
+    kappa=st.floats(0.05, 1.0),
+    gamma1=st.floats(0.001, 0.1),
+    gamma2=st.floats(0.001, 0.1),
+    f=st.floats(0.0, 1.0),
+    delta_omega=st.floats(-1.0, 1.0),
+)
+_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+def _draw_liouvillian(fock_dim, mode, **phys):
+    return build_liouvillian(SystemParams(s_ii=1.0, **phys), FockSpace(fock_dim),
+                             coupling_mode=mode)
+
+
+def _superoperator(liou):
+    # row-major vec: vec(A X B) = kron(A, B.T) vec(X); built from the
+    # commutator/anticommutator form, independently of apply()
+    h = liou.hamiltonian
+    eye = np.eye(len(h))
+    sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for c, l_op, _ in liou.dissipators:
+        ldl = l_op.conj().T @ l_op
+        sup += c * (np.kron(l_op, l_op.conj())
+                    - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T)))
+    return sup
+
+
+def _random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rho = m @ m.conj().T
+    return rho / rho.trace()
+
+
+@_PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), **_GENERATOR_DRAW)
+def test_apply_matches_commutator_form(seed, fock_dim, mode, **phys):
+    liou = _draw_liouvillian(fock_dim, mode, **phys)
+    rng = np.random.default_rng(seed)
+    n = 2 * fock_dim
+    rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = liou.hamiltonian
+    ref = -1j * (h @ rho - rho @ h)
+    for c, l_op, _ in liou.dissipators:
+        ldl = l_op.conj().T @ l_op
+        ref += c * (l_op @ rho @ l_op.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
+    got = liou.apply(rho)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+@_PROPERTY
+@given(**_GENERATOR_DRAW)
+def test_norm_bound_dominates_superoperator_norm(fock_dim, mode, **phys):
+    liou = _draw_liouvillian(fock_dim, mode, **phys)
+    assert liou.norm_bound >= np.linalg.norm(_superoperator(liou), 1)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(log_x=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1),
+       **_GENERATOR_DRAW)
+def test_expm_action_matches_dense_exponential(log_x, seed, fock_dim, mode,
+                                               **phys):
+    # norm * dt from 1e-3 to 1e3 on the last interval of an irregular grid
+    liou = _draw_liouvillian(fock_dim, mode, **phys)
+    span = 10.0 ** log_x / liou.norm_bound
+    grid = np.array([0.0, 0.013, 0.31, 0.31 + span])
+    rho0 = _random_state(2 * fock_dim, seed)
+    got = expm_action(liou.apply, rho0, grid, liou.norm_bound)
+    sup = _superoperator(liou)
+    for t, m in zip(grid, got):
+        ref = scipy.linalg.expm(sup * t) @ rho0.ravel()
+        assert np.max(np.abs(m.ravel() - ref)) <= 1e-10
+
+
 def test_liouvillian_apply_is_traceless():
     space = FockSpace(5)
     liou = build_liouvillian(P_ME, space)
@@ -165,12 +254,16 @@ def test_truncation_overflow_flags_invalid():
 
 
 def test_unstable_step_raises_numerics_error():
+    # RK4 at step 1 is unstable on this generator (|h lambda| ~ 13) and
+    # overflows near t = 118
     p = SystemParams(epsilon=10.0, g=0.3, kappa=0.1, f=0.05, delta_omega=0.3,
                      s_ii=1.0)
     space = FockSpace(6)
-    with pytest.raises(NumericsError):
-        evolve(build_liouvillian(p, space), plus_vacuum(space),
-               np.array([0.0, 50.0]), step=1.0)
+    liou = build_liouvillian(p, space)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericsError, match="non-finite state at t ="):
+            integrate(lambda t, y: liou.apply(y), plus_vacuum(space).matrix,
+                      np.array([0.0, 200.0]), step=1.0)
 
 
 # ---------------------------------------------------------------- conditional amplitudes
@@ -223,6 +316,31 @@ def test_coherence_solution_matches_closed_integral():
     assert coherence_solution(p, 0.0, 0.5) == 0.5
     with pytest.raises(ValueError):
         coherence_solution(p, -1.0, 0.5)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(kappa=st.floats(0.05, 1.0), g=st.floats(0.0, 0.5), f=st.floats(0.0, 1.0),
+       delta_omega=st.floats(-1.0, 1.0), gamma2=st.floats(0.0, 0.05),
+       epsilon=st.floats(0.0, 10.0), t=st.floats(1e-4, 60.0))
+def test_coherence_solution_matches_quadrature(kappa, g, f, delta_omega,
+                                               gamma2, epsilon, t):
+    p = SystemParams(epsilon=epsilon, g=g, kappa=kappa, f=f,
+                     delta_omega=delta_omega, gamma2=gamma2, s_ii=1.0)
+    lam_p = kappa / 2.0 + 1j * (delta_omega + g)
+    lam_m = kappa / 2.0 + 1j * (delta_omega - g)
+
+    def product(s):
+        a_p = (-1j * f / lam_p) * (1.0 - np.exp(-lam_p * s))
+        a_m = (-1j * f / lam_m) * (1.0 - np.exp(-lam_m * s))
+        return a_p * np.conj(a_m)
+
+    opts = dict(epsabs=1e-14, epsrel=1e-12, limit=400)
+    integral = (scipy.integrate.quad(lambda s: product(s).real, 0.0, t, **opts)[0]
+                + 1j * scipy.integrate.quad(lambda s: product(s).imag, 0.0, t,
+                                            **opts)[0])
+    expected = 0.5 * np.exp(-1j * (epsilon - 1j * gamma2) * t
+                            - 2j * g * integral)
+    assert coherence_solution(p, t, 0.5) == pytest.approx(expected, rel=1e-9)
 
 
 def test_coherence_solution_matches_master_equation():

@@ -147,28 +147,41 @@ def conditional_signal_pdf(params: SystemParams, sigma_z: int, t: float,
     return math.exp(-(x - mean) ** 2 / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
-def outcome_probability(params: SystemParams, sz0: float, t: float,
-                        outcome: int, variance: Optional[float] = None) -> float:
+def outcome_probability(params: SystemParams, sz0: float, t,
+                        outcome: int, variance: Optional[float] = None):
     """P(measurement result = outcome) after integrating the signal for time t.
 
     P = (1 + outcome * sz0 * erf(|A| t / sqrt(2 var))) / 2 with
     var = S_II * t by default.  Passing variance = 0.5 replaces the
     integrated detector noise by the zero-point quadrature variance.
     sz0 is the initial qubit polarization <sigma_z>(0).
+
+    Accepts scalar or array t: a scalar gives a float, an array an array
+    of the same shape.  |A| depends only on params and is computed once
+    per call; entries at t = 0 are exactly 1/2.  numpy has no erf, so the
+    formula runs per element on Python floats, which also keeps a scalar
+    call free of numpy's per-operation overhead.
     """
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     if abs(sz0) > 1.0 + 1e-12:
         raise ValueError(f"|sz0| must be <= 1, got {sz0}")
-    if t < 0.0:
+    t = np.asarray(t, dtype=float)
+    times = t.ravel().tolist()
+    if any(tk < 0.0 for tk in times):
         raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return 0.5
-    var = params.s_ii * t if variance is None else float(variance)
-    if var <= 0.0:
-        raise ValueError(f"variance must be > 0, got {var}")
-    arg = abs(signal_amplitude(params)) * t / math.sqrt(2.0 * var)
-    return 0.5 * (1.0 + outcome * sz0 * math.erf(arg))
+    amp = float(abs(signal_amplitude(params)))
+    sign = outcome * sz0
+    probs = []
+    for tk in times:
+        if tk == 0.0:
+            probs.append(0.5)
+            continue
+        var = params.s_ii * tk if variance is None else float(variance)
+        if var <= 0.0:
+            raise ValueError(f"variance must be > 0, got {var}")
+        probs.append(0.5 * (1.0 + sign * math.erf(amp * tk / math.sqrt(2.0 * var))))
+    return probs[0] if t.ndim == 0 else np.array(probs).reshape(t.shape)
 
 
 def gamma_m(params: SystemParams) -> float:

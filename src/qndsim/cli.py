@@ -3,8 +3,11 @@
 Subcommands run closed-form sweeps (analytic, backaction), the figure
 grids (fig2, fig3), the master-equation integrator (lindblad) and the
 repeated-measurement experiment (repeat), emitting CSV whose float fields
-are shortest round-trip reprs: identical inputs give byte-identical files
-regardless of thread count.
+are shortest round-trip reprs: identical inputs give byte-identical files.
+
+Runs are single-threaded.  The thread count (--threads, the threads key,
+QND_THREADS) is still accepted and validated for compatibility, but no
+run uses it.
 
 Config files are line-oriented ``key = value`` with ``#`` comments; unknown
 keys are rejected.  The run mode is always given on the command line.
@@ -13,12 +16,10 @@ keys are rejected.  The run mode is always given on the command line.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +43,7 @@ __all__ = [
     "main",
 ]
 
-MODES = ("analytic", "lindblad", "backaction", "fig2", "fig3", "repeatability")
+MODES = ("analytic", "lindblad", "backaction", "fig2", "fig3", "repeat")
 
 # fixed measurement time for the detuning-sweep probability maps
 MEASURE_TIME = 0.1
@@ -231,35 +232,22 @@ def parse_csv(text: str) -> SweepResult:
     return SweepResult(columns=columns, rows=rows)
 
 
-def _map_ordered(fn: Callable, items: Sequence, threads: int) -> list:
-    # index-ordered results keep output independent of scheduling
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def run_fig2(cfg: RunConfig, n_detuning: int = 201, n_time: int = 200) -> SweepResult:
     """Outcome-probability map over (detuning, time) for both noise models.
 
     p_zero_point uses the vacuum quadrature variance 1/2; p_backaction the
     integrated detector noise S_II * t.  Initial polarization +1, outcome +1.
+    Each detuning evaluates its whole time row in one call per model.
     """
-    detunings = np.linspace(-1.0, 1.0, n_detuning)
-    times = [(k * cfg.t_max) / n_time for k in range(1, n_time + 1)]
-
-    def per_detuning(dw: float) -> list:
-        p = cfg.system_params(delta_omega=float(dw))
-        rows = []
-        for t in times:
-            pz = analytic.outcome_probability(p, 1.0, t, +1, variance=0.5)
-            pb = analytic.outcome_probability(p, 1.0, t, +1)
-            rows.append((float(dw), t, pz, pb))
-        return rows
-
-    chunks = _map_ordered(per_detuning, detunings, cfg.threads or 1)
+    times = (np.arange(1, n_time + 1) * cfg.t_max / n_time).tolist()
+    rows = []
+    for dw in np.linspace(-1.0, 1.0, n_detuning).tolist():
+        p = cfg.system_params(delta_omega=dw)
+        pz = analytic.outcome_probability(p, 1.0, times, +1, variance=0.5)
+        pb = analytic.outcome_probability(p, 1.0, times, +1)
+        rows.extend(zip([dw] * n_time, times, pz.tolist(), pb.tolist()))
     return SweepResult(columns=("delta_omega", "t", "p_zero_point", "p_backaction"),
-                       rows=[row for chunk in chunks for row in chunk])
+                       rows=rows)
 
 
 def run_fig3(cfg: RunConfig, n_detuning: int = 201) -> SweepResult:
@@ -268,20 +256,15 @@ def run_fig3(cfg: RunConfig, n_detuning: int = 201) -> SweepResult:
     Each kappa uses its matched noise floor S_II = 2/kappa and the fixed
     measurement time MEASURE_TIME.
     """
-    detunings = np.linspace(-1.0, 1.0, n_detuning)
+    def row(kappa: float, dw: float) -> tuple:
+        p = cfg.system_params(kappa=kappa, s_ii=2.0 / kappa, delta_omega=dw)
+        return (kappa, dw, analytic.outcome_probability(p, 1.0, MEASURE_TIME, +1),
+                analytic.gamma_m(p))
 
-    def per_kappa(kappa: float) -> list:
-        rows = []
-        for dw in detunings:
-            p = cfg.system_params(kappa=kappa, s_ii=2.0 / kappa,
-                                  delta_omega=float(dw))
-            p0 = analytic.outcome_probability(p, 1.0, MEASURE_TIME, +1)
-            rows.append((kappa, float(dw), p0, analytic.gamma_m(p)))
-        return rows
-
-    chunks = _map_ordered(per_kappa, FIG3_KAPPAS, cfg.threads or 1)
+    detunings = np.linspace(-1.0, 1.0, n_detuning).tolist()
     return SweepResult(columns=("kappa", "delta_omega", "p_measure_0", "gamma_m"),
-                       rows=[row for chunk in chunks for row in chunk])
+                       rows=[row(kappa, dw) for kappa in FIG3_KAPPAS
+                             for dw in detunings])
 
 
 def run_sweep(cfg: RunConfig) -> SweepResult:
@@ -314,7 +297,7 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
         raise ConfigError(f"mode {cfg.mode!r} does not take a sweep")
 
     try:
-        rows = _map_ordered(per_value, grid, cfg.threads or 1)
+        rows = [per_value(v) for v in grid]
     except ValueError as exc:
         raise ConfigError(f"sweep left the valid parameter domain: {exc}") from exc
     return SweepResult(columns=columns, rows=rows)
@@ -343,7 +326,9 @@ def _vacuum_with_qubit(space: FockSpace, qubit: np.ndarray) -> DensityMatrix:
 def run_lindblad(cfg: RunConfig):
     """Master-equation run from (|0> + |1>)/sqrt(2) times vacuum.
 
-    Returns (SweepResult, truncation_ok).
+    Returns (SweepResult, truncation): truncation is None when the top two
+    Fock levels stayed under the threshold at every node, else a message
+    with their peak population, its time and the first time it was exceeded.
     """
     liou = _build_liouvillian(cfg)
     plus = 0.5 * np.ones((2, 2), dtype=complex)
@@ -355,11 +340,22 @@ def run_lindblad(cfg: RunConfig):
     result = SweepResult(columns=("t", "sigma_z", "sigma_x", "re_a", "im_a",
                                   "n_photon", "coherence01", "top_fock"),
                          rows=rows)
-    return result, rec.valid
+    if rec.valid:
+        return result, None
+    threshold = liou.space.top_population_threshold
+    peak = int(np.argmax(rec.top_fock))
+    first = int(np.argmax(rec.top_fock > threshold))
+    return result, (f"peak top-two-level population {rec.top_fock[peak]:.2e} "
+                    f"at t = {rec.t_grid[peak]:g}, threshold {threshold:g}, "
+                    f"first exceeded at t = {rec.t_grid[first]:g}")
 
 
 def run_repeat(cfg: RunConfig):
-    """Three consecutive qubit measurements separated by t_max windows."""
+    """Three consecutive qubit measurements separated by t_max windows.
+
+    Returns (SweepResult, truncation) like run_lindblad; the message names
+    the measurement round of the peak top-two-level population.
+    """
     liou = _build_liouvillian(cfg)
     ground = np.zeros((2, 2), dtype=complex)
     ground[0, 0] = 1.0
@@ -367,7 +363,12 @@ def run_repeat(cfg: RunConfig):
     stats = lindblad.repeatability_experiment(liou, rho0, t_meas=cfg.t_max,
                                               n_meas=3)
     rows = [(float(i + 1), float(p)) for i, p in enumerate(stats.pair_agreement)]
-    return SweepResult(columns=("pair", "agreement"), rows=rows), stats.valid
+    result = SweepResult(columns=("pair", "agreement"), rows=rows)
+    if stats.valid:
+        return result, None
+    return result, (f"peak top-two-level population {stats.peak_top_fock:.2e} "
+                    f"in measurement round {stats.peak_round}, threshold "
+                    f"{liou.space.top_population_threshold:g}")
 
 
 def _resolve_threads(cli_value: Optional[int], cfg: RunConfig) -> int:
@@ -393,15 +394,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Dispersive qubit readout: closed-form sweeps, "
                     "master-equation runs and figure grids as CSV.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, mode in (("analytic", "analytic"), ("lindblad", "lindblad"),
-                       ("backaction", "backaction"), ("fig2", "fig2"),
-                       ("fig3", "fig3"), ("repeat", "repeatability")):
-        p = sub.add_parser(name)
+    for mode in MODES:
+        p = sub.add_parser(mode)
         p.set_defaults(mode=mode)
         p.add_argument("-c", "--config", help="path to key = value config file")
         p.add_argument("-o", "--output", help="CSV output path (default stdout)")
         p.add_argument("--threads", type=int,
-                       help="worker threads (default config, then QND_THREADS, then 1)")
+                       help="thread count, accepted and validated for compatibility; "
+                            "runs are single-threaded")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key")
     return parser
@@ -431,7 +431,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = replace(cfg, threads=_resolve_threads(args.threads, cfg),
                       output=args.output if args.output else cfg.output)
 
-        truncation_ok = True
+        truncation = None
         if cfg.mode in ("analytic", "backaction"):
             result = run_sweep(cfg)
         elif cfg.mode == "fig2":
@@ -439,16 +439,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif cfg.mode == "fig3":
             result = run_fig3(cfg)
         elif cfg.mode == "lindblad":
-            result, truncation_ok = run_lindblad(cfg)
+            result, truncation = run_lindblad(cfg)
         else:
-            result, truncation_ok = run_repeat(cfg)
+            result, truncation = run_repeat(cfg)
 
         out = emit_csv(result, cfg.output)
         if cfg.output is None:
             sys.stdout.write(out)
-        if not truncation_ok:
-            print("error: top Fock levels exceeded the truncation threshold; "
-                  "increase fock_dim", file=sys.stderr)
+        if truncation is not None:
+            print(f"error: top Fock levels exceeded the truncation threshold "
+                  f"({truncation}); increase fock_dim", file=sys.stderr)
             return 3
         return 0
     except ConfigError as exc:

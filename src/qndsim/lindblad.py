@@ -109,11 +109,18 @@ class EvolutionRecord:
 
 @dataclass(frozen=True)
 class RepeatabilityStats:
-    """Consecutive-outcome statistics from repeatability_experiment."""
+    """Consecutive-outcome statistics from repeatability_experiment.
+
+    peak_top_fock is the largest top-two-level population of any branch at
+    any window node, and peak_round the 1-based measurement round whose
+    window it occurred in.
+    """
 
     pair_agreement: np.ndarray   # P(outcome j+1 == outcome j), length n_meas-1
     n_branches: int
     valid: bool
+    peak_top_fock: float
+    peak_round: int
 
     @property
     def mean_agreement(self) -> float:
@@ -299,13 +306,15 @@ def repeatability_experiment(liou: Liouvillian, rho0: DensityMatrix,
     branches = [(1.0, rho0, 0)]
     agree = np.zeros(n_meas - 1)
     total = np.zeros(n_meas - 1)
-    all_valid = True
+    peak, peak_round = 0.0, 1
 
     for round_idx in range(n_meas):
         next_branches = []
         for weight, state, last in branches:
             rec = evolve(liou, state, window)
-            all_valid = all_valid and rec.valid
+            top = float(rec.top_fock.max())
+            if top > peak:
+                peak, peak_round = top, round_idx + 1
             m = rec.states[-1].matrix
             for k in (0, 1):
                 lo = k * dim
@@ -326,4 +335,6 @@ def repeatability_experiment(liou: Liouvillian, rho0: DensityMatrix,
     if np.any(total <= 0.0):
         raise NumericsError("all branches pruned; no surviving outcome weight")
     return RepeatabilityStats(pair_agreement=agree / total,
-                              n_branches=len(branches), valid=all_valid)
+                              n_branches=len(branches),
+                              valid=peak <= liou.space.top_population_threshold,
+                              peak_top_fock=peak, peak_round=peak_round)

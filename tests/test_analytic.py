@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sci_integrate
 from scipy import stats
 
@@ -219,6 +221,86 @@ def test_outcome_probability_validation():
         outcome_probability(P_FIG, 1.0, -1.0, +1)
     with pytest.raises(ValueError, match="variance must be > 0"):
         outcome_probability(P_FIG, 1.0, 1.0, +1, variance=0.0)
+
+
+def _scalar_outcome_probability(params, sz0, t, outcome, variance=None):
+    # the one-t-at-a-time formula the array path must reproduce bit for bit
+    if t == 0.0:
+        return 0.5
+    var = params.s_ii * t if variance is None else variance
+    if var <= 0.0:
+        raise ValueError("variance must be > 0")
+    arg = abs(signal_amplitude(params)) * t / math.sqrt(2.0 * var)
+    return 0.5 * (1.0 + outcome * sz0 * math.erf(arg))
+
+
+def _assert_row_matches_scalar_loop(params, sz0, t, outcome, variance):
+    got = outcome_probability(params, sz0, t, outcome, variance=variance)
+    assert isinstance(got, np.ndarray) and got.shape == t.shape
+    loop = [outcome_probability(params, sz0, tk, outcome, variance=variance)
+            for tk in t.tolist()]
+    assert all(isinstance(v, float) for v in loop)
+    ref = [_scalar_outcome_probability(params, sz0, tk, outcome, variance)
+           for tk in t.tolist()]
+    assert got.tolist() == loop == ref
+
+
+@pytest.mark.parametrize("outcome", (+1, -1))
+@pytest.mark.parametrize("variance", (None, 0.5))
+def test_outcome_probability_array_equals_scalar_loop(outcome, variance):
+    t = np.concatenate(([0.0], np.arange(1, 51) * 2.0 / 50, [0.0, 1e-300, 40.0]))
+    for sz0 in (1.0, -0.3, 0.0):
+        _assert_row_matches_scalar_loop(P_FIG, sz0, t, outcome, variance)
+    # t = 0 entries are exactly 1/2, also in an all-zero row
+    got = outcome_probability(P_FIG, 1.0, t, outcome, variance=variance)
+    assert np.all(got[t == 0.0] == 0.5)
+    assert outcome_probability(P_FIG, 1.0, np.zeros(3), outcome,
+                               variance=variance).tolist() == [0.5] * 3
+    # a 2-d grid keeps its shape
+    grid = t[1:51].reshape(5, 10)
+    assert outcome_probability(P_FIG, 1.0, grid, outcome, variance=variance).shape \
+        == (5, 10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kappa=st.floats(0.01, 2.0), g=st.floats(0.0, 1.0), f=st.floats(0.0, 2.0),
+       delta_omega=st.floats(-2.0, 2.0), s_ii=st.floats(0.01, 100.0),
+       sz0=st.floats(-1.0, 1.0), outcome=st.sampled_from((1, -1)),
+       variance=st.one_of(st.none(), st.floats(1e-3, 10.0)),
+       t=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+                  min_size=1, max_size=30))
+def test_outcome_probability_array_property(kappa, g, f, delta_omega, s_ii, sz0,
+                                            outcome, variance, t):
+    params = SystemParams(kappa=kappa, g=g, f=f, delta_omega=delta_omega, s_ii=s_ii)
+    t = np.array(t)
+    try:
+        [_scalar_outcome_probability(params, sz0, tk, outcome, variance) for tk in t]
+    except ValueError:
+        # S_II t underflowing to 0 must be rejected by the array path too
+        with pytest.raises(ValueError, match="variance must be > 0"):
+            outcome_probability(params, sz0, t, outcome, variance=variance)
+        return
+    _assert_row_matches_scalar_loop(params, sz0, t, outcome, variance)
+
+
+def test_outcome_probability_array_validation():
+    t = np.array([0.0, 0.5, -1e-9, 1.0])
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        outcome_probability(P_FIG, 1.0, t, +1)
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        outcome_probability(P_FIG, 1.0, t, +1, variance=0.5)
+    live = np.array([0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="variance must be > 0"):
+        outcome_probability(P_FIG, 1.0, live, +1, variance=0.0)
+    with pytest.raises(ValueError, match="variance must be > 0"):
+        outcome_probability(P_FIG, 1.0, live, +1, variance=-2.0)
+    with pytest.raises(ValueError, match="outcome must be"):
+        outcome_probability(P_FIG, 1.0, live, 0)
+    with pytest.raises(ValueError, match="sz0"):
+        outcome_probability(P_FIG, -1.5, live, +1)
+    # as for a scalar t = 0, the variance is not consulted where t = 0
+    assert outcome_probability(P_FIG, 1.0, np.zeros(2), +1,
+                               variance=0.0).tolist() == [0.5, 0.5]
 
 
 # ---------------------------------------------------------------- overlap decay

@@ -8,16 +8,20 @@ insensitive to platform-specific float formatting of the last digit.
 import io
 import math
 import os
+import struct
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qndsim import analytic, backaction
 from qndsim.cli import (
     ConfigError,
     RunConfig,
+    SweepResult,
     _resolve_threads,
     _time_grid,
     emit_csv,
@@ -132,6 +136,33 @@ def test_csv_round_trips_infinity():
     assert math.isinf(back.rows[0][res.columns.index("t_eff")])
 
 
+_NAMES = st.from_regex(r"[a-z_][a-z0-9_]{0,11}", fullmatch=True)
+
+
+@st.composite
+def _tables(draw):
+    columns = tuple(draw(st.lists(_NAMES, min_size=1, max_size=6)))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.tuples(*[finite] * len(columns)), max_size=8))
+    return SweepResult(columns=columns, rows=rows)
+
+
+def _bits(rows):
+    return [[struct.pack("<d", v) for v in row] for row in rows]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(table=_tables())
+@example(table=SweepResult(columns=("x", "y"),
+                           rows=[(-0.0, 0.0), (5e-324, -2.225073858507201e-308),
+                                 (2.2250738585072014e-308, -1.7976931348623157e308)]))
+def test_csv_round_trip_property(table):
+    back = parse_csv(emit_csv(table))
+    assert back.columns == table.columns
+    # bit for bit: keeps the sign of zero and every subnormal
+    assert _bits(back.rows) == _bits(table.rows)
+
+
 def test_parse_csv_rejects_empty():
     with pytest.raises(ConfigError, match="empty CSV"):
         parse_csv("")
@@ -148,6 +179,22 @@ def test_run_fig2_grid_shape_and_zero_point_rule():
     sel = rows[:, 1] * cfg.resolved_s_ii > 0.5
     assert sel.any()
     assert np.all(rows[sel, 3] <= rows[sel, 2])
+
+
+@pytest.mark.parametrize("text", ("", "t_max = 0.7\ns_ii = 3.0\n"))
+def test_run_fig2_equals_scalar_loop(text):
+    cfg = parse_config(text, mode="fig2")
+    res = run_fig2(cfg, n_detuning=7, n_time=9)
+    rows = []
+    for dw in np.linspace(-1.0, 1.0, 7):
+        p = cfg.system_params(delta_omega=float(dw))
+        for k in range(1, 10):
+            t = (k * cfg.t_max) / 9
+            rows.append((float(dw), t,
+                         analytic.outcome_probability(p, 1.0, t, +1, variance=0.5),
+                         analytic.outcome_probability(p, 1.0, t, +1)))
+    assert res.rows == rows
+    assert emit_csv(res) == emit_csv(SweepResult(columns=res.columns, rows=rows))
 
 
 def test_run_fig3_matches_direct_evaluation():
@@ -203,8 +250,8 @@ def test_run_sweep_requires_sweep_and_valid_domain():
 def test_run_lindblad_quick():
     cfg = parse_config("epsilon = 0.0\nf = 0.05\nfock_dim = 8\nt_max = 1.0\n"
                        "t_step = 0.1\n", mode="lindblad")
-    res, ok = run_lindblad(cfg)
-    assert ok
+    res, truncation = run_lindblad(cfg)
+    assert truncation is None
     assert res.columns[0] == "t" and "coherence01" in res.columns
     assert len(res.rows) == 11
     assert res.rows[0][res.columns.index("coherence01")] == pytest.approx(0.5)
@@ -214,9 +261,9 @@ def test_run_lindblad_quick():
 
 def test_run_repeat_quick():
     cfg = parse_config("epsilon = 0.0\nf = 0.05\nfock_dim = 8\nt_max = 10.0\n",
-                       mode="repeatability")
-    res, ok = run_repeat(cfg)
-    assert ok
+                       mode="repeat")
+    res, truncation = run_repeat(cfg)
+    assert truncation is None
     assert res.columns == ("pair", "agreement")
     assert [r[1] for r in res.rows] == pytest.approx([1.0, 1.0], abs=1e-12)
 
@@ -303,7 +350,7 @@ def test_lindblad_t_max_must_be_a_multiple_of_t_step():
     for t_max, t_step in ((40.0, 0.5), (20.0, 0.05), (4.0, 0.1), (0.3, 0.1)):
         cfg = parse_config(f"t_max = {t_max}\nt_step = {t_step}\n", mode="lindblad")
         assert len(_time_grid(cfg)) == round(t_max / t_step) + 1
-    parse_config("t_max = 2.05\nt_step = 0.1\n", mode="repeatability")
+    parse_config("t_max = 2.05\nt_step = 0.1\n", mode="repeat")
 
 
 def test_main_truncation_overflow_exits_3(tmp_path):
@@ -317,6 +364,28 @@ def test_main_truncation_overflow_exits_3(tmp_path):
     assert "truncation" in err.getvalue()
     # the CSV is still emitted for inspection
     assert len(parse_csv(out.read_text()).rows) == 21
+
+
+def test_main_default_lindblad_exit_3_says_by_how_much_and_when(tmp_path):
+    out = tmp_path / "l.csv"
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert main(["lindblad", "-o", str(out)]) == 3
+    msg = err.getvalue()
+    assert ("peak top-two-level population 3.39e-03 at t = 2, threshold 1e-06, "
+            "first exceeded at t = 1.17") in msg
+    assert "increase fock_dim" in msg
+    assert len(parse_csv(out.read_text()).rows) == 201
+
+
+def test_main_default_repeat_exit_3_names_the_round(tmp_path):
+    out = tmp_path / "r.csv"
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert main(["repeat", "-o", str(out)]) == 3
+    assert ("peak top-two-level population 5.31e-01 in measurement round 2, "
+            "threshold 1e-06") in err.getvalue()
+    assert parse_csv(out.read_text()).columns == ("pair", "agreement")
 
 
 def test_main_thread_count_does_not_change_bytes(tmp_path):

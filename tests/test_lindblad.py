@@ -408,3 +408,21 @@ def test_repeatability_validation():
         repeatability_experiment(liou, rho0, t_meas=1.0, n_meas=1)
     with pytest.raises(ValueError, match="n_meas must be in 2..6"):
         repeatability_experiment(liou, rho0, t_meas=1.0, n_meas=7)
+
+
+def test_repeatability_reports_peak_top_fock_and_round():
+    space = FockSpace(12)
+    stats = repeatability_experiment(build_liouvillian(P_ME, space),
+                                     plus_vacuum(space), t_meas=20.0, n_meas=3)
+    assert stats.valid
+    assert 0.0 < stats.peak_top_fock <= space.top_population_threshold
+    assert stats.peak_round in (1, 2, 3)
+    # the resonator is never reset, so a small space overflows in a later
+    # round than the first, by more than the first round's own peak
+    small = FockSpace(4)
+    liou = build_liouvillian(P_ME, small)
+    first = evolve(liou, plus_vacuum(small), [0.0, 20.0]).top_fock.max()
+    stats = repeatability_experiment(liou, plus_vacuum(small), t_meas=20.0, n_meas=3)
+    assert not stats.valid
+    assert stats.peak_top_fock > max(first, small.top_population_threshold)
+    assert stats.peak_round > 1

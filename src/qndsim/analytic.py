@@ -7,6 +7,7 @@ module provides the independent numerical check.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -77,17 +78,15 @@ def pointer_state(params: SystemParams, sigma_z: int) -> PointerState:
     argument of the steady drive response, so steady_value() and alpha_of_t()
     track the master-equation conditional amplitude in every sector.  (The
     opposite atan2 sign describes the same circle traversed in the conjugate
-    frame; only phase differences enter the outcome probabilities.)
+    frame; only phase differences enter the outcome probabilities.)  At
+    f = 0 the amplitude is 0 and the phase carries no information.
     """
     if sigma_z not in (1, -1):
         raise ValueError(f"sigma_z must be +1 or -1, got {sigma_z}")
     det = params.delta_omega - params.g * sigma_z
-    amp = params.f / math.hypot(det, params.kappa / 2.0)
-    phi = -math.atan2(det, params.kappa / 2.0) - math.pi / 2.0
-    # map onto (-pi, pi]; kappa > 0 keeps phi in (-pi, 0) already
-    if phi <= -math.pi:
-        phi += 2.0 * math.pi
-    return PointerState(sigma_z=sigma_z, amplitude=amp, phase=phi, detuning=det)
+    alpha = params.steady_amplitude(det)
+    return PointerState(sigma_z=sigma_z, amplitude=abs(alpha),
+                        phase=cmath.phase(alpha), detuning=det)
 
 
 def alpha_of_t(ps: PointerState, kappa: float, t):
@@ -108,8 +107,8 @@ def alpha_of_t(ps: PointerState, kappa: float, t):
 
 def steady_amplitudes(params: SystemParams) -> SteadyAmplitudes:
     """Steady amplitudes -if/(kappa/2 + i(delta_omega +/- g)) and photon numbers."""
-    ap = -1j * params.f / (params.kappa / 2.0 + 1j * (params.delta_omega + params.g))
-    am = -1j * params.f / (params.kappa / 2.0 + 1j * (params.delta_omega - params.g))
+    ap = params.steady_amplitude(params.delta_omega + params.g)
+    am = params.steady_amplitude(params.delta_omega - params.g)
     return SteadyAmplitudes(alpha_plus=ap, alpha_minus=am,
                             n_plus=abs(ap) ** 2, n_minus=abs(am) ** 2)
 
@@ -239,6 +238,6 @@ def weak_coupling_gamma_m(params: SystemParams) -> float:
     if abs(params.g) > params.kappa / 5.0:
         warnings.warn("weak_coupling_gamma_m assumes g << kappa; "
                       f"got g = {params.g}, kappa = {params.kappa}", stacklevel=2)
-    n_bar = params.f ** 2 / (params.kappa ** 2 / 4.0 + params.g ** 2)
+    n_bar = abs(params.steady_amplitude(params.g)) ** 2
     theta0 = math.atan(2.0 * params.g / params.kappa)
     return params.kappa * n_bar * theta0 ** 2

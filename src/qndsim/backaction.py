@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import NumericsError, SystemParams, integrate
+from .core import NumericsError, SystemParams, expm_action, integrate
 
 __all__ = [
     "QubitEigenbasis",
@@ -99,7 +99,7 @@ def eigenbasis(epsilon: float, delta: float) -> QubitEigenbasis:
 
 def _n_bar(params: SystemParams) -> float:
     # steady occupation of the bare driven cavity at the operating point
-    return params.f ** 2 / (params.kappa ** 2 / 4.0 + params.delta_omega ** 2)
+    return abs(params.steady_amplitude(params.delta_omega)) ** 2
 
 
 def number_correlator(params: SystemParams, tau):
@@ -161,6 +161,23 @@ def _sigma_n_matrix(basis: QubitEigenbasis) -> np.ndarray:
 _ENERGY_SIGN = np.array([-0.5, 0.5])  # eigenenergies in units of the splitting
 
 
+def _assemble(sig_t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # M(t, tau) / g^2 with x = c(tau) sigma(t - tau), y = c*(tau) sigma(t - tau);
+    # linear in x and y, so K(t) / g^2 is this applied to their tau-integrals
+    eye = np.eye(2, dtype=complex)
+    return (np.einsum("kl,pq->kplq", sig_t @ x, eye)
+            - np.einsum("kl,qp->kplq", x, sig_t)
+            + np.einsum("qp,kl->kplq", y @ sig_t, eye)
+            - np.einsum("kl,qp->kplq", sig_t, y))
+
+
+def _interaction_sigma(basis: QubitEigenbasis, t: float):
+    # sigma_n(t) in the interaction picture and the gaps E_k - E_l it rotates at
+    energies = _ENERGY_SIGN * basis.splitting
+    de = energies[:, None] - energies[None, :]
+    return np.exp(1j * de * t) * _sigma_n_matrix(basis), de
+
+
 def redfield_tensor(params: SystemParams, basis: QubitEigenbasis,
                     t: float, tau: float) -> np.ndarray:
     """Second-order memory tensor M(t, tau), shape (2, 2, 2, 2).
@@ -170,57 +187,28 @@ def redfield_tensor(params: SystemParams, basis: QubitEigenbasis,
     the resonator traced against number_correlator.  Sum_k M_{kkll'} = 0
     identically (trace preservation).
     """
-    sn = _sigma_n_matrix(basis)
-    energies = _ENERGY_SIGN * basis.splitting
-    de = energies[:, None] - energies[None, :]
-    sig_t = np.exp(1j * de * t) * sn
-    sig_tm = np.exp(1j * de * (t - tau)) * sn
+    sig_t, _ = _interaction_sigma(basis, t)
+    sig_tm, _ = _interaction_sigma(basis, t - tau)
     c = complex(number_correlator(params, tau))
-
-    eye = np.eye(2, dtype=complex)
-    a_mat = sig_t @ sig_tm
-    b_mat = sig_tm @ sig_t
-    m = (c * (np.einsum("kl,pq->kplq", a_mat, eye)
-              - np.einsum("kl,qp->kplq", sig_tm, sig_t))
-         + np.conj(c) * (np.einsum("qp,kl->kplq", b_mat, eye)
-                         - np.einsum("kl,qp->kplq", sig_t, sig_tm)))
-    return params.g ** 2 * m
+    return params.g ** 2 * _assemble(sig_t, c * sig_tm, np.conj(c) * sig_tm)
 
 
 def _memory_kernel(params: SystemParams, basis: QubitEigenbasis,
                    t: float) -> np.ndarray:
-    """K(t) = Integral_0^t M(t, tau) dtau by composite Simpson, vectorized."""
-    if t == 0.0:
-        return np.zeros((2, 2, 2, 2), dtype=complex)
-    sn = _sigma_n_matrix(basis)
-    energies = _ENERGY_SIGN * basis.splitting
-    de = energies[:, None] - energies[None, :]
-    sig_t = np.exp(1j * de * t) * sn
+    """K(t) = Integral_0^t M(t, tau) dtau in closed form.
 
-    w_max = basis.splitting + abs(params.delta_omega) + params.kappa / 2.0
-    n = max(16, int(math.ceil(t * w_max / 0.25)))
-    n += n % 2
-    tau = np.linspace(0.0, t, n + 1)
-    weights = np.full(n + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    weights *= (t / n) / 3.0
-
-    sig_tm = np.exp(1j * de[None, :, :] * (t - tau)[:, None, None]) * sn
-    c = number_correlator(params, tau) * weights
-    cbar = np.conj(number_correlator(params, tau)) * weights
-
-    t1 = np.einsum("x,km,xml->kl", c, sig_t, sig_tm)       # int c(tau) sig(t)sig(t-tau)
-    t2 = np.einsum("x,xkl->kl", c, sig_tm)                 # int c(tau) sig(t-tau)
-    t3 = np.einsum("x,xqm,mp->qp", cbar, sig_tm, sig_t)    # int c* sig(t-tau)sig(t)
-    t4 = np.einsum("x,xqp->qp", cbar, sig_tm)              # int c* sig(t-tau)
-
-    eye = np.eye(2, dtype=complex)
-    k = (np.einsum("kl,pq->kplq", t1, eye)
-         - np.einsum("kl,qp->kplq", t2, sig_t)
-         + np.einsum("qp,kl->kplq", t3, eye)
-         - np.einsum("kl,qp->kplq", sig_t, t4))
-    return params.g ** 2 * k
+    Entry by entry, c(tau) sigma(t - tau) = n_bar sigma(t) e^(lam tau) with
+    lam = i(dw - de) - kappa/2, and c*(tau) sigma(t - tau) the same with
+    lam = -i(dw + de) - kappa/2, so each integrates to
+    n_bar sigma(t) expm1(lam t) / lam; kappa > 0 keeps lam away from 0.
+    """
+    sig_t, de = _interaction_sigma(basis, t)
+    half_kappa = params.kappa / 2.0
+    lam = 1j * (params.delta_omega - de) - half_kappa
+    lam_bar = -1j * (params.delta_omega + de) - half_kappa
+    scaled = _n_bar(params) * sig_t
+    return params.g ** 2 * _assemble(sig_t, scaled * np.expm1(lam * t) / lam,
+                                     scaled * np.expm1(lam_bar * t) / lam_bar)
 
 
 def _check_rho0(rho0: np.ndarray) -> np.ndarray:
@@ -244,14 +232,18 @@ def evolve_reduced(params: SystemParams, basis: QubitEigenbasis,
 
     markov mode: constant-rate equations built from rates() (memory integral
     extended to infinity) -- populations exchange at gamma_up/gamma_down,
-    coherence decays at gamma_phi.  time_dependent mode: integrates the
-    time-local equation with the finite-memory kernel K(t) recomputed along
-    the evolution, exposing the short-time (t < 1/kappa) transient.
+    coherence decays at gamma_phi -- propagated exactly by expm_action.
+    time_dependent mode: integrates the time-local equation by RK4 with the
+    finite-memory kernel K(t) recomputed along the evolution, exposing the
+    short-time (t < 1/kappa) transient; step applies to this mode only.
     """
     rho0 = _check_rho0(rho0_qubit)
     t = np.asarray(t_grid, dtype=float)
 
     if mode == "markov":
+        if step is not None:
+            raise ValueError("step applies to time_dependent mode only; "
+                             "markov mode is propagated exactly")
         rs = rates(params, basis)
         gen = np.zeros((2, 2, 2, 2), dtype=complex)
         gen[1, 1, 1, 1] = -rs.gamma_down
@@ -260,17 +252,10 @@ def evolve_reduced(params: SystemParams, basis: QubitEigenbasis,
         gen[0, 0, 0, 0] = -rs.gamma_up
         gen[0, 1, 0, 1] = -rs.gamma_phi
         gen[1, 0, 1, 0] = -rs.gamma_phi
-
-        def rhs(_t, y):
-            return np.einsum("kplq,lq->kp", gen, y)
-
-        if step is None:
-            # constant tiny generator: resolve the total rate, not epsilon
-            rate_scale = max(rs.gamma_up + rs.gamma_down, rs.gamma_phi, 1e-300)
-            step = min(0.02 / rate_scale,
-                       float(np.diff(t).min()) if t.size > 1 else math.inf)
-            if not math.isfinite(step):
-                step = 1.0
+        # exact 1-norm of gen as a 4x4 matrix acting on rho flattened
+        norm = float(np.abs(gen.reshape(4, 4)).sum(axis=0).max())
+        mats = expm_action(lambda y: np.einsum("kplq,lq->kp", gen, y),
+                           rho0, t, norm)
     elif mode == "time_dependent":
 
         cache = {}
@@ -285,10 +270,10 @@ def evolve_reduced(params: SystemParams, basis: QubitEigenbasis,
             rate_scale = max(basis.splitting, params.kappa,
                              abs(params.delta_omega), 1e-300)
             step = 1.0 / (50.0 * rate_scale)
+        mats = integrate(rhs, rho0, t, step)
     else:
         raise ValueError(f"mode must be 'markov' or 'time_dependent', got {mode!r}")
 
-    mats = integrate(rhs, rho0, t, step)
     out = np.stack(mats)
     for tk, m in zip(t, out):
         if abs(m.trace() - 1.0) > 1e-8:

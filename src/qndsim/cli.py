@@ -5,9 +5,8 @@ grids (fig2, fig3), the master-equation integrator (lindblad) and the
 repeated-measurement experiment (repeat), emitting CSV whose float fields
 are shortest round-trip reprs: identical inputs give byte-identical files.
 
-Runs are single-threaded.  The thread count (--threads, the threads key,
-QND_THREADS) is still accepted and validated for compatibility, but no
-run uses it.
+Runs are single-threaded.  The thread count (--threads, the threads key)
+is still accepted and validated for compatibility, but no run uses it.
 
 Config files are line-oriented ``key = value`` with ``#`` comments; unknown
 keys are rejected.  The run mode is always given on the command line.
@@ -16,7 +15,6 @@ keys are rejected.  The run mode is always given on the command line.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -371,23 +369,6 @@ def run_repeat(cfg: RunConfig):
                     f"{liou.space.top_population_threshold:g}")
 
 
-def _resolve_threads(cli_value: Optional[int], cfg: RunConfig) -> int:
-    if cli_value is not None:
-        return cli_value
-    if cfg.threads is not None:
-        return cfg.threads
-    env = os.environ.get("QND_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(f"QND_THREADS must be an integer, got {env!r}") from None
-        if n < 1:
-            raise ConfigError(f"QND_THREADS must be >= 1, got {n}")
-        return n
-    return 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qnd",
@@ -428,8 +409,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = parse_config(text, args.mode, overrides)
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {args.threads}")
-        cfg = replace(cfg, threads=_resolve_threads(args.threads, cfg),
-                      output=args.output if args.output else cfg.output)
+        cfg = replace(cfg, output=args.output if args.output else cfg.output)
 
         truncation = None
         if cfg.mode in ("analytic", "backaction"):

@@ -88,6 +88,10 @@ class SystemParams:
         """
         return self.delta == 0.0 or self.delta < self.epsilon / 10.0
 
+    def steady_amplitude(self, det: float) -> complex:
+        """Steady resonator amplitude -if/(kappa/2 + i det) at detuning det."""
+        return -1j * self.f / (self.kappa / 2.0 + 1j * det)
+
 
 @dataclass(frozen=True)
 class FockSpace:

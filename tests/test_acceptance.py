@@ -256,7 +256,7 @@ def test_criterion_5_rate_identities_over_random_draws():
         g_tot = rs.gamma_up + rs.gamma_down
         tg = np.linspace(0.0, 2.0 / g_tot, 21)
         rec = evolve_reduced(p, basis, np.diag([1.0, 0.0]).astype(complex),
-                             tg, mode="markov", step=0.02 / g_tot)
+                             tg, mode="markov")
         p_eq = rs.gamma_up / g_tot
         slope = -np.polyfit(tg, np.log(np.abs(rec.populations[:, 1] - p_eq)
                                        / p_eq), 1)[0]

@@ -1,6 +1,7 @@
 """Unit tests for the detector back-action rates and reduced dynamics.
 
-Oracles: scipy quadrature of the correlator/spectrum pair, the exact
+Oracles: scipy quadrature of the correlator/spectrum pair and of the
+memory tensor over tau (for the closed-form kernel), the exact
 two-level rate-equation solution for the markov generator, quantum
 regression on the full master equation for the number correlator, and
 frozen values computed from the defining formulas at pinned points.
@@ -10,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sci_integrate
 
 from qndsim.backaction import (
@@ -192,8 +195,10 @@ def test_redfield_tensor_invariants():
     p = SystemParams(epsilon=1.0, delta=0.3, g=0.05, kappa=0.5, f=0.4,
                      delta_omega=0.2, s_ii=4.0)
     b = eigenbasis(1.0, 0.3)
-    for t, tau in ((0.7, 0.3), (2.0, 1.5), (5.0, 0.1)):
-        m = redfield_tensor(p, b, t, tau)
+    tensors = [redfield_tensor(p, b, t, tau)
+               for t, tau in ((0.7, 0.3), (2.0, 1.5), (5.0, 0.1))]
+    tensors += [_memory_kernel(p, b, t) for t in (1e-6, 0.7, 5.0)]
+    for m in tensors:
         scale = np.abs(m).max()
         # trace preservation: sum_k M_{kk l l'} = 0
         assert np.abs(m[0, 0] + m[1, 1]).max() < 1e-14 * scale
@@ -214,6 +219,26 @@ def test_memory_kernel_reaches_golden_rule_rates():
     assert abs(k[1, 1, 1, 1].imag) < 1e-12 * rs.gamma_down
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(epsilon=st.floats(0.05, 2.0), delta=st.floats(0.0, 1.0),
+       g=st.floats(0.005, 0.1), kappa=st.floats(0.05, 1.0),
+       f=st.floats(0.1, 1.0), delta_omega=st.floats(-1.5, 1.5),
+       log_t=st.floats(-6.0, math.log10(60.0)))
+def test_memory_kernel_matches_quadrature(epsilon, delta, g, kappa, f,
+                                          delta_omega, log_t):
+    # the closed form against adaptive quadrature of M(t, tau) over tau,
+    # from the expm1 regime (kappa t ~ 1e-7) to many memory times
+    p = SystemParams(epsilon=epsilon, delta=delta, g=g, kappa=kappa, f=f,
+                     delta_omega=delta_omega, s_ii=1.0)
+    b = eigenbasis(epsilon, delta)
+    t = 10.0 ** log_t
+    ref, _ = sci_integrate.quad_vec(lambda tau: redfield_tensor(p, b, t, tau),
+                                    0.0, t, epsabs=0.0, epsrel=1e-13,
+                                    limit=2000)
+    got = _memory_kernel(p, b, t)
+    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
 # ---------------------------------------------------------------- reduced dynamics
 
 def test_markov_relaxation_matches_rate_equation():
@@ -225,7 +250,7 @@ def test_markov_relaxation_matches_rate_equation():
     p_eq = rs.gamma_up / g_tot
     tg = np.linspace(0.0, 2.0 / g_tot, 9)
     rec = evolve_reduced(p, B_SYM, np.diag([1.0, 0.0]).astype(complex), tg,
-                         mode="markov", step=0.02 / g_tot)
+                         mode="markov")
     expected = p_eq + (0.0 - p_eq) * np.exp(-g_tot * tg)
     np.testing.assert_allclose(rec.populations[:, 1], expected, rtol=1e-8)
     np.testing.assert_allclose(rec.populations.sum(axis=1), 1.0, atol=1e-12)
@@ -296,3 +321,5 @@ def test_evolve_reduced_validation():
         evolve_reduced(P_SYM, B_SYM, np.diag([1.5, -0.5]), [0.0, 1.0])
     with pytest.raises(ValueError, match="must start at 0"):
         evolve_reduced(P_SYM, B_SYM, rho0, [1.0, 2.0])
+    with pytest.raises(ValueError, match="time_dependent mode only"):
+        evolve_reduced(P_SYM, B_SYM, rho0, [0.0, 1.0], mode="markov", step=0.1)

@@ -22,7 +22,6 @@ from qndsim.cli import (
     ConfigError,
     RunConfig,
     SweepResult,
-    _resolve_threads,
     _time_grid,
     emit_csv,
     main,
@@ -395,17 +394,3 @@ def test_main_thread_count_does_not_change_bytes(tmp_path):
     assert main(["fig3", "-o", str(out3), "--threads", "3"]) == 0
     assert out1.read_bytes() == out3.read_bytes()
 
-
-def test_resolve_threads_precedence(monkeypatch):
-    cfg_none = parse_config("", mode="fig3")
-    cfg_four = parse_config("threads = 4\n", mode="fig3")
-    monkeypatch.delenv("QND_THREADS", raising=False)
-    assert _resolve_threads(2, cfg_four) == 2        # CLI wins
-    assert _resolve_threads(None, cfg_four) == 4     # then config
-    assert _resolve_threads(None, cfg_none) == 1     # then the default
-    monkeypatch.setenv("QND_THREADS", "8")
-    assert _resolve_threads(None, cfg_none) == 8     # env beats default
-    assert _resolve_threads(None, cfg_four) == 4     # config beats env
-    monkeypatch.setenv("QND_THREADS", "zero")
-    with pytest.raises(ConfigError, match="QND_THREADS"):
-        _resolve_threads(None, cfg_none)

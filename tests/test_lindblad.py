@@ -197,14 +197,15 @@ def test_expm_action_matches_dense_exponential(log_x, seed, fock_dim, mode,
         assert np.max(np.abs(m.ravel() - ref)) <= 1e-10
 
 
-def test_liouvillian_apply_is_traceless():
-    space = FockSpace(5)
-    liou = build_liouvillian(P_ME, space)
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
-    rho = m @ m.conj().T
-    rho /= rho.trace()
-    assert abs(liou.apply(rho).trace()) < 1e-14
+@_PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), **_GENERATOR_DRAW)
+def test_liouvillian_apply_preserves_trace_and_hermiticity(seed, fock_dim, mode,
+                                                           **phys):
+    liou = _draw_liouvillian(fock_dim, mode, **phys)
+    out = liou.apply(_random_state(2 * fock_dim, seed))
+    scale = max(1.0, np.abs(out).max())
+    assert abs(out.trace()) <= 1e-13 * scale
+    assert np.abs(out - out.conj().T).max() <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------- evolution

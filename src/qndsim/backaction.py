@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import NumericsError, SystemParams, expm_action, integrate
+from .core import NumericsError, SystemParams, _check_grid, integrate
 
 __all__ = [
     "QubitEigenbasis",
@@ -231,8 +231,11 @@ def evolve_reduced(params: SystemParams, basis: QubitEigenbasis,
     """Interaction-picture reduced qubit dynamics under the number noise.
 
     markov mode: constant-rate equations built from rates() (memory integral
-    extended to infinity) -- populations exchange at gamma_up/gamma_down,
-    coherence decays at gamma_phi -- propagated exactly by expm_action.
+    extended to infinity), solved in closed form: with G = gamma_up +
+    gamma_down and r = rho_00 + rho_11,
+    rho_11(t) = rho_11(0) + (gamma_up r - G rho_11(0)) (1 - e^(-G t)) / G
+    (t in place of the ramp at G = 0), rho_00 likewise with gamma_down,
+    and rho_01(t) = rho_01(0) e^(-gamma_phi t).
     time_dependent mode: integrates the time-local equation by RK4 with the
     finite-memory kernel K(t) recomputed along the evolution, exposing the
     short-time (t < 1/kappa) transient; step applies to this mode only.
@@ -243,19 +246,18 @@ def evolve_reduced(params: SystemParams, basis: QubitEigenbasis,
     if mode == "markov":
         if step is not None:
             raise ValueError("step applies to time_dependent mode only; "
-                             "markov mode is propagated exactly")
+                             "markov mode is solved in closed form")
+        t = _check_grid(t)
         rs = rates(params, basis)
-        gen = np.zeros((2, 2, 2, 2), dtype=complex)
-        gen[1, 1, 1, 1] = -rs.gamma_down
-        gen[1, 1, 0, 0] = rs.gamma_up
-        gen[0, 0, 1, 1] = rs.gamma_down
-        gen[0, 0, 0, 0] = -rs.gamma_up
-        gen[0, 1, 0, 1] = -rs.gamma_phi
-        gen[1, 0, 1, 0] = -rs.gamma_phi
-        # exact 1-norm of gen as a 4x4 matrix acting on rho flattened
-        norm = float(np.abs(gen.reshape(4, 4)).sum(axis=0).max())
-        mats = expm_action(lambda y: np.einsum("kplq,lq->kp", gen, y),
-                           rho0, t, norm)
+        g_tot = rs.gamma_up + rs.gamma_down
+        ramp = t if g_tot == 0.0 else -np.expm1(-g_tot * t) / g_tot
+        r = rho0[0, 0] + rho0[1, 1]
+        decay = np.exp(-rs.gamma_phi * t)
+        mats = np.empty((len(t), 2, 2), dtype=complex)
+        mats[:, 0, 0] = rho0[0, 0] + (rs.gamma_down * r - g_tot * rho0[0, 0]) * ramp
+        mats[:, 1, 1] = rho0[1, 1] + (rs.gamma_up * r - g_tot * rho0[1, 1]) * ramp
+        mats[:, 0, 1] = rho0[0, 1] * decay
+        mats[:, 1, 0] = rho0[1, 0] * decay
     elif mode == "time_dependent":
 
         cache = {}

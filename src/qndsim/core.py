@@ -303,26 +303,32 @@ def _inf_norm(y: np.ndarray) -> float:
     return float(np.abs(y).max())
 
 
-def expm_action(apply: Callable[[np.ndarray], np.ndarray],
+def expm_action(apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 y0: np.ndarray,
                 t_grid: Sequence[float],
                 norm: float) -> list[np.ndarray]:
     """exp(A t) y0 at every node of t_grid (which starts at 0), for a
-    constant linear operator A given only through apply(y) = A y.
+    constant linear operator A given only through apply(y, out), which
+    writes A y into the preallocated complex array out (same shape as y,
+    never overlapping it) and returns out.
 
     norm bounds the 1-norm of A acting on y flattened.  Each grid interval
     takes s substeps of the Taylor series of degree m <= 55, with (m, s)
     from the Al-Mohy-Higham theta_m table; a substep stops early once two
     consecutive terms fall below 2^-53 times the partial sum (max-abs
-    norm).  Raises NumericsError on non-finite values, identifying the time
-    at which they appeared.
+    norm).  The Taylor terms alternate between two buffers and the sum
+    accumulates in place, so no state-sized array is allocated per term;
+    each returned node is a fresh copy and y0 is left untouched.  Raises
+    NumericsError on non-finite values, identifying the time at which they
+    appeared.
     """
     t = _check_grid(t_grid)
     if not (norm >= 0.0 and math.isfinite(norm)):
         raise ValueError(f"norm must be finite and >= 0, got {norm}")
 
     y = np.array(y0, dtype=complex)
-    out = [y]
+    bufs = (np.empty_like(y), np.empty_like(y))
+    out = [y.copy()]
     for t0, t1 in zip(t[:-1], t[1:]):
         m, n_sub = _taylor_plan(norm * (t1 - t0))
         h = (t1 - t0) / n_sub
@@ -330,13 +336,14 @@ def expm_action(apply: Callable[[np.ndarray], np.ndarray],
             term = y
             c1 = _inf_norm(term)
             for j in range(1, m + 1):
-                term = (h / j) * apply(term)
+                term = apply(term, bufs[j & 1])
+                term *= h / j
                 c2 = _inf_norm(term)
-                y = y + term
+                y += term
                 if c1 + c2 <= _TAYLOR_TOL * _inf_norm(y):
                     break
                 c1 = c2
             if not np.all(np.isfinite(y.view(float))):
                 raise NumericsError(f"non-finite state at t = {t0 + (i + 1) * h:.6g}")
-        out.append(y)
+        out.append(y.copy())
     return out

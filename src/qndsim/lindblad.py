@@ -11,8 +11,12 @@ formulas in `analytic`).
 The generator does not depend on time in this frame, so evolve propagates
 it exactly: core.expm_action applies the truncated Taylor series of
 exp(L dt) through Liouvillian.apply alone, never forming the
-(2 dim)^2 x (2 dim)^2 superoperator.  The RK4 integrator in core remains
-only for the time-dependent reduced kernel in `backaction`.
+(2 dim)^2 x (2 dim)^2 superoperator.  apply costs two complex matmuls for
+the effective-Hamiltonian commutator plus one elementwise product per
+jump operator (each has a single nonzero diagonal, so L rho L+ is a
+weighted shifted slice of rho), and writes into a caller-owned buffer.
+The RK4 integrator in core remains only for the time-dependent reduced
+kernel in `backaction`.
 """
 
 from __future__ import annotations
@@ -56,7 +60,16 @@ class Liouvillian:
     and bounds the 1-norm of that superoperator on rho flattened:
     norm_bound = 2 ||h_eff - mu I||_1 + sum_k c_k ||L||_1^2, with mu the
     midpoint of H's real diagonal (the shift cancels in the commutator).
-    Immutable and safe to share across threads.
+
+    Every jump operator must have exactly one nonzero diagonal, at offset
+    o (L[i, i + o] = v_i), as all that build_liouvillian makes do (I (x) a
+    at +1, sigma_- (x) I at -dim, sigma_z (x) I at 0); anything else
+    raises ValueError.  Then (c L rho L+)[i, j] = c v_i v_j* rho[i+o, j+o],
+    so apply adds each jump term as one product of a weight matrix built
+    here with a shifted slice of rho: two matmuls plus k elementwise
+    products in all, not 2 + 2k matmuls.  apply works in a scratch array
+    owned by this object, so it is not re-entrant: do not call it from
+    two threads at once on the same Liouvillian.
     """
 
     params: SystemParams
@@ -67,6 +80,9 @@ class Liouvillian:
     h_eff: np.ndarray = field(init=False, repr=False, compare=False)
     h_eff_dag: np.ndarray = field(init=False, repr=False, compare=False)
     norm_bound: float = field(init=False, repr=False, compare=False)
+    # (weight matrix, target slice, source slice) per jump operator
+    _jumps: tuple = field(init=False, repr=False, compare=False)
+    _scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         h_eff = np.array(self.hamiltonian, dtype=complex)
@@ -80,12 +96,40 @@ class Liouvillian:
         object.__setattr__(self, "h_eff", h_eff)
         object.__setattr__(self, "h_eff_dag", np.ascontiguousarray(h_eff.conj().T))
         object.__setattr__(self, "norm_bound", float(bound))
+        object.__setattr__(self, "_jumps", tuple(
+            _shifted_jump(c, l_op) for c, l_op, _ in self.dissipators))
+        object.__setattr__(self, "_scratch", np.empty_like(h_eff))
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = -1j * (self.h_eff @ rho - rho @ self.h_eff_dag)
-        for c, l_op, l_dag in self.dissipators:
-            out += c * (l_op @ rho @ l_dag)
+    def apply(self, rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The generator applied to rho, written into out and returned.
+
+        out must not overlap rho; with out=None a new array is returned.
+        """
+        tmp = self._scratch
+        out = np.matmul(self.h_eff, rho, out=out)
+        np.matmul(rho, self.h_eff_dag, out=tmp)
+        out -= tmp
+        out *= -1j
+        for w, dst, src in self._jumps:
+            np.multiply(w, rho[src, src], out=tmp[dst, dst])
+            out[dst, dst] += tmp[dst, dst]
         return out
+
+
+def _shifted_jump(c: float, l_op: np.ndarray) -> tuple:
+    # c L rho L+ = (c v v*^T) o rho[src, src], added at [dst, dst], for L
+    # with its one nonzero diagonal v at offset o
+    rows, cols = np.nonzero(l_op)
+    offsets = sorted(set((cols - rows).tolist()))
+    if len(offsets) != 1:
+        raise ValueError(f"jump operator must have exactly one nonzero "
+                         f"diagonal, found offsets {offsets}")
+    o = offsets[0]
+    n = len(l_op)
+    v = np.diagonal(l_op, o)
+    dst, src = (slice(0, n - o), slice(o, n)) if o >= 0 else \
+        (slice(-o, n), slice(0, n + o))
+    return c * np.outer(v, v.conj()), dst, src
 
 
 @dataclass(frozen=True)
@@ -112,8 +156,9 @@ class RepeatabilityStats:
     """Consecutive-outcome statistics from repeatability_experiment.
 
     peak_top_fock is the largest top-two-level population of any branch at
-    any window node, and peak_round the 1-based measurement round whose
-    window it occurred in.
+    any window node, and peak_round the earliest 1-based measurement round
+    whose own peak is within 1e-12 (relative) of it, so rounds that tie up
+    to rounding report the first of them.
     """
 
     pair_agreement: np.ndarray   # P(outcome j+1 == outcome j), length n_meas-1
@@ -286,6 +331,15 @@ def coherence_solution(params: SystemParams, t: float, a10_0: complex) -> comple
     return complex(a10_0 * np.exp(exponent))
 
 
+def _earliest_peak(round_peaks: Sequence[float]) -> tuple[float, int]:
+    # the largest per-round peak, and the first 1-based round within 1e-12
+    # (relative) of it
+    peak = max(round_peaks)
+    first = next(k for k, p in enumerate(round_peaks, 1)
+                 if p >= peak - 1e-12 * peak)
+    return peak, first
+
+
 def repeatability_experiment(liou: Liouvillian, rho0: DensityMatrix,
                              t_meas: float, n_meas: int) -> RepeatabilityStats:
     """Consecutive projective qubit measurements separated by free windows.
@@ -306,15 +360,14 @@ def repeatability_experiment(liou: Liouvillian, rho0: DensityMatrix,
     branches = [(1.0, rho0, 0)]
     agree = np.zeros(n_meas - 1)
     total = np.zeros(n_meas - 1)
-    peak, peak_round = 0.0, 1
+    round_peaks = [0.0] * n_meas
 
     for round_idx in range(n_meas):
         next_branches = []
         for weight, state, last in branches:
             rec = evolve(liou, state, window)
-            top = float(rec.top_fock.max())
-            if top > peak:
-                peak, peak_round = top, round_idx + 1
+            round_peaks[round_idx] = max(round_peaks[round_idx],
+                                         float(rec.top_fock.max()))
             m = rec.states[-1].matrix
             for k in (0, 1):
                 lo = k * dim
@@ -334,6 +387,7 @@ def repeatability_experiment(liou: Liouvillian, rho0: DensityMatrix,
 
     if np.any(total <= 0.0):
         raise NumericsError("all branches pruned; no surviving outcome weight")
+    peak, peak_round = _earliest_peak(round_peaks)
     return RepeatabilityStats(pair_agreement=agree / total,
                               n_branches=len(branches),
                               valid=peak <= liou.space.top_population_threshold,

@@ -1,16 +1,18 @@
 """Unit tests for the detector back-action rates and reduced dynamics.
 
 Oracles: scipy quadrature of the correlator/spectrum pair and of the
-memory tensor over tau (for the closed-form kernel), the exact
-two-level rate-equation solution for the markov generator, quantum
-regression on the full master equation for the number correlator, and
-frozen values computed from the defining formulas at pinned points.
+memory tensor over tau (for the closed-form kernel), scipy.linalg.expm
+of the 4x4 markov rate generator (for the closed-form markov mode),
+quantum regression on the full master equation for the number
+correlator, and frozen values computed from the defining formulas at
+pinned points.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sci_integrate
@@ -247,11 +249,17 @@ def test_markov_relaxation_matches_rate_equation():
                      delta_omega=e, s_ii=20.0)
     rs = rates(p, B_SYM)
     g_tot = rs.gamma_up + rs.gamma_down
-    p_eq = rs.gamma_up / g_tot
     tg = np.linspace(0.0, 2.0 / g_tot, 9)
-    rec = evolve_reduced(p, B_SYM, np.diag([1.0, 0.0]).astype(complex), tg,
-                         mode="markov")
-    expected = p_eq + (0.0 - p_eq) * np.exp(-g_tot * tg)
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    rec = evolve_reduced(p, B_SYM, rho0, tg, mode="markov")
+    # oracle: scipy.linalg.expm of the 4x4 rate generator acting on
+    # (rho_00, rho_01, rho_10, rho_11)
+    gen = np.array([[-rs.gamma_up, 0.0, 0.0, rs.gamma_down],
+                    [0.0, -rs.gamma_phi, 0.0, 0.0],
+                    [0.0, 0.0, -rs.gamma_phi, 0.0],
+                    [rs.gamma_up, 0.0, 0.0, -rs.gamma_down]])
+    expected = np.array([(scipy.linalg.expm(gen * t) @ rho0.ravel())[3]
+                         for t in tg]).real
     np.testing.assert_allclose(rec.populations[:, 1], expected, rtol=1e-8)
     np.testing.assert_allclose(rec.populations.sum(axis=1), 1.0, atol=1e-12)
     np.testing.assert_allclose(rec.sigma_z,

@@ -2,13 +2,15 @@
 
 Oracles: operator algebra identities (commutators, partial traces of
 products), hand-built Kronecker layouts, and the exact solution of
-y' = c y for the RK4 order measurement and the Taylor propagator.
+y' = c y for the RK4 order measurement and the Taylor propagator, with
+scipy.linalg.expm for the propagator's node copies.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qndsim.core import (
     DensityMatrix,
@@ -242,7 +244,8 @@ def test_expm_action_exact_on_irregular_nodes():
     # norm * dt spans 1e-3 .. 1e3 across the grid
     lam = -0.01 + 3.0j
     grid = np.array([0.0, 1e-3 / abs(lam), 0.37, 1.0, 2.75, 300.0])
-    ys = expm_action(lambda y: lam * y, np.array([1.0 + 0j]), grid, abs(lam))
+    ys = expm_action(lambda y, out: np.multiply(lam, y, out=out),
+                     np.array([1.0 + 0j]), grid, abs(lam))
     np.testing.assert_allclose([y[0] for y in ys], np.exp(lam * grid),
                                rtol=1e-10)
 
@@ -250,17 +253,19 @@ def test_expm_action_exact_on_irregular_nodes():
 def test_expm_action_matrix_state_and_zero_operator():
     a = np.array([[0.0, 1.0], [-1.0, 0.0]])    # exp(a t) is a rotation
     y0 = np.eye(2, dtype=complex)
-    ys = expm_action(lambda y: a @ y, y0, [0.0, 0.5, 2.0], 1.0)
+    ys = expm_action(lambda y, out: np.matmul(a, y, out=out), y0,
+                     [0.0, 0.5, 2.0], 1.0)
     for t, y in zip((0.0, 0.5, 2.0), ys):
         rot = np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
         np.testing.assert_allclose(y, rot, atol=1e-15)
-    zs = expm_action(lambda y: 0.0 * y, y0, [0.0, 1.0], 0.0)
+    zs = expm_action(lambda y, out: np.multiply(0.0, y, out=out), y0,
+                     [0.0, 1.0], 0.0)
     np.testing.assert_array_equal(zs[-1], y0)
     assert zs[-1] is not zs[0]
 
 
 def test_expm_action_input_validation():
-    apply = lambda y: -y
+    apply = lambda y, out: np.negative(y, out=out)
     y0 = np.array([1.0 + 0j])
     with pytest.raises(ValueError, match="must start at 0"):
         expm_action(apply, y0, [1.0, 2.0], 1.0)
@@ -278,5 +283,23 @@ def test_expm_action_flags_nonfinite_state():
     # Taylor terms overflow within the first of two substeps (dt / s = 5)
     with np.errstate(all="ignore"):
         with pytest.raises(NumericsError, match="non-finite state at t = 5$"):
-            expm_action(lambda y: 1e200 * y, np.array([1.0 + 0j]),
+            expm_action(lambda y, out: np.multiply(1e200, y, out=out),
+                        np.array([1.0 + 0j]),
                         [0.0, 10.0], 1.0)
+
+
+def test_expm_action_nodes_are_fresh_arrays():
+    # the sum accumulates in place, so every node must be its own copy
+    a = np.array([[-0.3, 1.0], [-1.0, -0.1]])
+    y0 = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
+    before = y0.copy()
+    ys = expm_action(lambda y, out: np.matmul(a, y, out=out), y0,
+                     [0.0, 0.25, 1.0, 4.0], 1.3)
+    np.testing.assert_array_equal(y0, before)
+    for k, y in enumerate(ys):
+        assert not np.shares_memory(y, y0)
+        assert not any(np.shares_memory(y, z) for z in ys[k + 1:])
+    np.testing.assert_array_equal(ys[0], y0)
+    for t, y in zip((0.25, 1.0, 4.0), ys[1:]):
+        np.testing.assert_allclose(y, scipy.linalg.expm(a * t) @ y0,
+                                   rtol=1e-13, atol=1e-14)

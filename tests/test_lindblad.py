@@ -3,8 +3,10 @@
 Oracles: block structure of hand-assembled Hamiltonians, the exactly
 solvable driven cavity (g = 0), the conditional-amplitude ODE solution,
 the elementary antiderivative and scipy quadrature of the pointer product
-that feeds the closed-form coherence, and scipy.linalg.expm of the
-explicitly assembled superoperator for the exact propagator.
+that feeds the closed-form coherence, scipy.linalg.expm of the
+explicitly assembled superoperator for the exact propagator, and the
+eigenvalues of that superoperator for the golden-rule flip rates of
+backaction.
 """
 
 import math
@@ -30,7 +32,10 @@ from qndsim.core import (
     qubit_operator,
     tensor,
 )
+from qndsim.backaction import eigenbasis, rates
 from qndsim.lindblad import (
+    Liouvillian,
+    _earliest_peak,
     build_liouvillian,
     coherence_solution,
     conditional_amplitude,
@@ -174,6 +179,28 @@ def test_apply_matches_commutator_form(seed, fock_dim, mode, **phys):
 
 
 @_PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), **_GENERATOR_DRAW)
+def test_apply_into_buffer_matches_fresh_result(seed, fock_dim, mode, **phys):
+    liou = _draw_liouvillian(fock_dim, mode, **phys)
+    assert len(liou.dissipators) == 3
+    rho = _random_state(2 * fock_dim, seed)
+    buf = np.full_like(rho, np.nan)   # stale contents must be overwritten
+    got = liou.apply(rho, buf)
+    assert got is buf
+    np.testing.assert_array_equal(buf, liou.apply(rho))
+
+
+def test_liouvillian_rejects_jump_with_two_diagonals():
+    space = FockSpace(4)
+    base = build_liouvillian(P_ME, space)
+    l_op = tensor(qubit_operator("sigma_x"), np.eye(space.dim))  # offsets +-dim
+    with pytest.raises(ValueError, match="exactly one nonzero diagonal"):
+        Liouvillian(params=P_ME, space=space, coupling_mode="sigma_z",
+                    hamiltonian=base.hamiltonian,
+                    dissipators=((0.1, l_op, l_op.conj().T),))
+
+
+@_PROPERTY
 @given(**_GENERATOR_DRAW)
 def test_norm_bound_dominates_superoperator_norm(fock_dim, mode, **phys):
     liou = _draw_liouvillian(fock_dim, mode, **phys)
@@ -206,6 +233,29 @@ def test_liouvillian_apply_preserves_trace_and_hermiticity(seed, fock_dim, mode,
     scale = max(1.0, np.abs(out).max())
     assert abs(out.trace()) <= 1e-13 * scale
     assert np.abs(out - out.conj().T).max() <= 1e-13 * scale
+
+
+def test_qubit_flip_mode_approaches_golden_rule_rates():
+    # the slowest nonzero mode of the sigma_n master equation at the
+    # criterion-6 point is the qubit flip; as g -> 0 its rate must reach
+    # gamma_up + gamma_down from backaction.rates (measured ratios 0.585,
+    # 0.859, 0.970, 0.998 at the four g below)
+    basis = eigenbasis(1.0, 0.1)
+    deviations = []
+    for g in (0.04, 0.02, 0.01, 0.005):
+        p = SystemParams(epsilon=1.0, delta=0.1, g=g, kappa=0.1, f=0.3,
+                         delta_omega=basis.splitting, s_ii=1.0)
+        liou = build_liouvillian(p, FockSpace(8), coupling_mode="sigma_n")
+        ev = np.linalg.eigvals(_superoperator(liou))
+        ev = ev[np.argsort(np.abs(ev))]
+        rs = rates(p, basis)
+        g_tot = rs.gamma_up + rs.gamma_down
+        assert abs(ev[0]) < 1e-3 * g_tot           # the steady state
+        assert abs(ev[1].imag) < 1e-6 * g_tot      # a real decay mode
+        deviations.append(abs(-ev[1].real / g_tot - 1.0))
+    assert deviations[2] <= 0.05
+    assert deviations[3] <= 0.005
+    assert all(b < a for a, b in zip(deviations, deviations[1:]))
 
 
 # ---------------------------------------------------------------- evolution
@@ -409,6 +459,19 @@ def test_repeatability_validation():
         repeatability_experiment(liou, rho0, t_meas=1.0, n_meas=1)
     with pytest.raises(ValueError, match="n_meas must be in 2..6"):
         repeatability_experiment(liou, rho0, t_meas=1.0, n_meas=7)
+
+
+def test_peak_round_is_earliest_within_rounding():
+    peak = 0.5305297743919027
+    # a later round that beats the first by 1 ulp does not take the peak
+    assert _earliest_peak([0.1, peak, np.nextafter(peak, 1.0)]) == \
+        (np.nextafter(peak, 1.0), 2)
+    assert _earliest_peak([0.1, np.nextafter(peak, 1.0), peak]) == \
+        (np.nextafter(peak, 1.0), 2)
+    # a real difference still moves it
+    assert _earliest_peak([peak, peak * (1.0 + 1e-9)]) == \
+        (peak * (1.0 + 1e-9), 2)
+    assert _earliest_peak([0.0, 0.0]) == (0.0, 1)
 
 
 def test_repeatability_reports_peak_top_fock_and_round():

@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import NumericsError, SystemParams, _check_grid, integrate
+from .core import (NumericsError, SystemParams, _check_grid, _state_errors,
+                   _substep_plan, integrate)
 
 __all__ = [
     "QubitEigenbasis",
@@ -163,16 +164,18 @@ _ENERGY_SIGN = np.array([-0.5, 0.5])  # eigenenergies in units of the splitting
 
 def _assemble(sig_t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # M(t, tau) / g^2 with x = c(tau) sigma(t - tau), y = c*(tau) sigma(t - tau);
-    # linear in x and y, so K(t) / g^2 is this applied to their tau-integrals
+    # linear in x and y, so K(t) / g^2 is this applied to their tau-integrals.
+    # Leading axes of the (..., 2, 2) inputs carry through to (..., 2, 2, 2, 2).
     eye = np.eye(2, dtype=complex)
-    return (np.einsum("kl,pq->kplq", sig_t @ x, eye)
-            - np.einsum("kl,qp->kplq", x, sig_t)
-            + np.einsum("qp,kl->kplq", y @ sig_t, eye)
-            - np.einsum("kl,qp->kplq", sig_t, y))
+    return (np.einsum("...kl,pq->...kplq", sig_t @ x, eye)
+            - np.einsum("...kl,...qp->...kplq", x, sig_t)
+            + np.einsum("...qp,kl->...kplq", y @ sig_t, eye)
+            - np.einsum("...kl,...qp->...kplq", sig_t, y))
 
 
-def _interaction_sigma(basis: QubitEigenbasis, t: float):
-    # sigma_n(t) in the interaction picture and the gaps E_k - E_l it rotates at
+def _interaction_sigma(basis: QubitEigenbasis, t):
+    # sigma_n(t) in the interaction picture and the gaps E_k - E_l it rotates
+    # at; t is a scalar or an array of shape (..., 1, 1)
     energies = _ENERGY_SIGN * basis.splitting
     de = energies[:, None] - energies[None, :]
     return np.exp(1j * de * t) * _sigma_n_matrix(basis), de
@@ -194,14 +197,17 @@ def redfield_tensor(params: SystemParams, basis: QubitEigenbasis,
 
 
 def _memory_kernel(params: SystemParams, basis: QubitEigenbasis,
-                   t: float) -> np.ndarray:
-    """K(t) = Integral_0^t M(t, tau) dtau in closed form.
+                   t) -> np.ndarray:
+    """K(t) = Integral_0^t M(t, tau) dtau in closed form, shape
+    t.shape + (2, 2, 2, 2): elementwise in t, so one call over an array of
+    times equals the scalar calls bit for bit.
 
     Entry by entry, c(tau) sigma(t - tau) = n_bar sigma(t) e^(lam tau) with
     lam = i(dw - de) - kappa/2, and c*(tau) sigma(t - tau) the same with
     lam = -i(dw + de) - kappa/2, so each integrates to
     n_bar sigma(t) expm1(lam t) / lam; kappa > 0 keeps lam away from 0.
     """
+    t = np.asarray(t, dtype=float)[..., None, None]
     sig_t, de = _interaction_sigma(basis, t)
     half_kappa = params.kappa / 2.0
     lam = 1j * (params.delta_omega - de) - half_kappa
@@ -215,11 +221,12 @@ def _check_rho0(rho0: np.ndarray) -> np.ndarray:
     m = np.asarray(rho0, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"rho0 must be 2x2, got {m.shape}")
-    if abs(m.trace() - 1.0) > 1e-9:
+    tr_dev, herm, lo = _state_errors(m, min_eigenvalue=True)
+    if tr_dev > 1e-9:
         raise ValueError("rho0 trace must be 1")
-    if np.max(np.abs(m - m.conj().T)) > 1e-10:
+    if herm > 1e-10:
         raise ValueError("rho0 must be Hermitian")
-    if np.linalg.eigvalsh(m).min() < -1e-9:
+    if lo < -1e-9:
         raise ValueError("rho0 must be positive semidefinite")
     return m
 
@@ -236,18 +243,20 @@ def evolve_reduced(params: SystemParams, basis: QubitEigenbasis,
     rho_11(t) = rho_11(0) + (gamma_up r - G rho_11(0)) (1 - e^(-G t)) / G
     (t in place of the ramp at G = 0), rho_00 likewise with gamma_down,
     and rho_01(t) = rho_01(0) e^(-gamma_phi t).
-    time_dependent mode: integrates the time-local equation by RK4 with the
-    finite-memory kernel K(t) recomputed along the evolution, exposing the
+    time_dependent mode: integrates the time-local equation by RK4
+    (core.integrate) with the finite-memory kernel K(t), exposing the
     short-time (t < 1/kappa) transient; step applies to this mode only.
+    K is evaluated once per grid interval, on the array of every RK4 stage
+    time in it (from the same _substep_plan and index formula integrate
+    uses), and each stage looks its 4x4 generator up by time.
     """
     rho0 = _check_rho0(rho0_qubit)
-    t = np.asarray(t_grid, dtype=float)
+    t = _check_grid(t_grid)
 
     if mode == "markov":
         if step is not None:
             raise ValueError("step applies to time_dependent mode only; "
                              "markov mode is solved in closed form")
-        t = _check_grid(t)
         rs = rates(params, basis)
         g_tot = rs.gamma_up + rs.gamma_down
         ramp = t if g_tot == 0.0 else -np.expm1(-g_tot * t) / g_tot
@@ -259,29 +268,38 @@ def evolve_reduced(params: SystemParams, basis: QubitEigenbasis,
         mats[:, 0, 1] = rho0[0, 1] * decay
         mats[:, 1, 0] = rho0[1, 0] * decay
     elif mode == "time_dependent":
-
-        cache = {}
-
-        def rhs(tk, y):
-            if tk not in cache:
-                cache.clear()
-                cache[tk] = _memory_kernel(params, basis, tk)
-            return -np.einsum("kplq,lq->kp", cache[tk], y)
-
         if step is None:
             rate_scale = max(basis.splitting, params.kappa,
                              abs(params.delta_omega), 1e-300)
             step = 1.0 / (50.0 * rate_scale)
+        intervals = iter(_substep_plan(t, step))
+        generators = {}
+
+        def rhs(tk, y):
+            if tk not in generators:
+                # first stage of the next interval: tabulate -K at all of its
+                # stage times; a time integrate asks for outside the table
+                # raises KeyError rather than falling back to a scalar call
+                t0, h, n_sub = next(intervals)
+                starts = t0 + np.arange(n_sub) * h
+                stages = np.concatenate([starts, starts + 0.5 * h, starts + h])
+                gens = -_memory_kernel(params, basis, stages).reshape(-1, 4, 4)
+                generators.clear()
+                generators.update(zip(stages.tolist(), gens))
+            return (generators[tk] @ y.reshape(4)).reshape(2, 2)
+
         mats = integrate(rhs, rho0, t, step)
     else:
         raise ValueError(f"mode must be 'markov' or 'time_dependent', got {mode!r}")
 
     out = np.stack(mats)
-    for tk, m in zip(t, out):
-        if abs(m.trace() - 1.0) > 1e-8:
-            raise NumericsError(f"reduced trace drifted at t = {tk:.6g}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-9:
-            raise NumericsError(f"reduced state lost Hermiticity at t = {tk:.6g}")
+    tr_dev, herm = _state_errors(out)
+    bad = np.flatnonzero((tr_dev > 1e-8) | (herm > 1e-9))
+    if bad.size:
+        k = bad[0]
+        what = ("reduced trace drifted" if tr_dev[k] > 1e-8
+                else "reduced state lost Hermiticity")
+        raise NumericsError(f"{what} at t = {t[k]:.6g}")
     pops = out[:, [0, 1], [0, 1]].real
     return ReducedRecord(t_grid=t, matrices=out, populations=pops,
                          coherence01=np.abs(out[:, 0, 1]),

@@ -132,12 +132,11 @@ class DensityMatrix:
             raise ValueError(f"expected shape {(n, n)}, got {m.shape}")
         if not np.all(np.isfinite(m.view(float))):
             raise ValueError("density matrix contains non-finite entries")
-        tr = m.trace()
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        if not is_hermitian(m, _HERM_TOL):
+        tr_dev, herm, lo = _state_errors(m, min_eigenvalue=True)
+        if tr_dev > _TRACE_TOL:
+            raise ValueError(f"trace deviates from 1 by {tr_dev:.3e}")
+        if herm > _HERM_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-10")
-        lo = np.linalg.eigvalsh(m).min()
         if lo < -_EIG_TOL:
             raise ValueError(f"negative eigenvalue {lo:.3e} below -1e-7")
 
@@ -224,6 +223,17 @@ def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
+def _state_errors(m: np.ndarray, min_eigenvalue: bool = False) -> tuple:
+    """|tr m - 1| and the largest |m - m^dagger| entry of a density matrix,
+    or of each matrix in a stack (..., n, n); with min_eigenvalue also its
+    smallest eigenvalue.  The caller compares them with its own floors."""
+    tr_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+    herm = np.abs(m - np.swapaxes(m, -2, -1).conj()).max(axis=(-2, -1))
+    if not min_eigenvalue:
+        return tr_dev, herm
+    return tr_dev, herm, np.linalg.eigvalsh(m).min(axis=-1)
+
+
 def _check_grid(t_grid: Sequence[float]) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1:
@@ -244,33 +254,42 @@ def _rk4_step(rhs: Callable[[float, np.ndarray], np.ndarray],
     return y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
+def _substep_plan(t: np.ndarray, step: float) -> list[tuple[float, float, int]]:
+    """(t0, h, n_sub) for each interval [t0, t1] of the grid t: ceil(dt/step)
+    equal substeps of length h, so none exceeds step or the interval."""
+    if not step > 0.0:
+        raise ValueError(f"step must be > 0, got {step}")
+    plan = []
+    for t0, t1 in zip(t[:-1], t[1:]):
+        n_sub = max(1, math.ceil((t1 - t0) / step))
+        plan.append((t0, (t1 - t0) / n_sub, n_sub))
+    return plan
+
+
 def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
               y0: np.ndarray,
               t_grid: Sequence[float],
               step: float) -> list[np.ndarray]:
     """Fixed-step RK4 from t_grid[0] = 0, reporting the state at each node.
 
-    Each grid interval is split into ceil(dt/step) equal substeps so the
-    integrator lands exactly on every node.  The step never exceeds `step`
-    or the local grid spacing.  Raises NumericsError on non-finite values,
-    identifying the time at which they appeared.
+    Each grid interval [t0, t1] is split into ceil(dt/step) equal substeps
+    of length h so the integrator lands exactly on every node.  The step
+    never exceeds `step` or the local grid spacing.  Substep i starts at
+    tk = t0 + i*h, taken from the index rather than accumulated, so rhs is
+    called at exactly tk, tk + 0.5*h and tk + h and a caller can tabulate
+    those times in advance from _substep_plan.  Raises NumericsError on
+    non-finite values, identifying the time at which they appeared.
     """
-    t = _check_grid(t_grid)
-    if not step > 0.0:
-        raise ValueError(f"step must be > 0, got {step}")
+    plan = _substep_plan(_check_grid(t_grid), step)
 
     y = np.array(y0, dtype=complex)
     out = [y.copy()]
-    for t0, t1 in zip(t[:-1], t[1:]):
-        span = t1 - t0
-        n_sub = max(1, math.ceil(span / step))
-        h = span / n_sub
-        tk = t0
-        for _ in range(n_sub):
+    for t0, h, n_sub in plan:
+        for i in range(n_sub):
+            tk = t0 + i * h
             y = _rk4_step(rhs, tk, y, h)
-            tk += h
             if not np.all(np.isfinite(y.view(float))):
-                raise NumericsError(f"non-finite state at t = {tk:.6g}")
+                raise NumericsError(f"non-finite state at t = {tk + h:.6g}")
         out.append(y.copy())
     return out
 

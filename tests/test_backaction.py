@@ -1,8 +1,10 @@
 """Unit tests for the detector back-action rates and reduced dynamics.
 
 Oracles: scipy quadrature of the correlator/spectrum pair and of the
-memory tensor over tau (for the closed-form kernel), scipy.linalg.expm
-of the 4x4 markov rate generator (for the closed-form markov mode),
+memory tensor over tau (for the closed-form kernel), scalar kernel calls
+(for the kernel over an array of times), scipy.linalg.expm of the 4x4
+markov rate generator (for the closed-form markov mode), an adaptive
+DOP853 solve driven by the scalar kernel (for time-dependent mode),
 quantum regression on the full master equation for the number
 correlator, and frozen values computed from the defining formulas at
 pinned points.
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sci_integrate
 
+from qndsim import backaction
 from qndsim.backaction import (
     eigenbasis,
     evolve_reduced,
@@ -29,7 +32,9 @@ from qndsim.backaction import (
 from qndsim.backaction import _memory_kernel
 from qndsim.core import (
     FockSpace,
+    NumericsError,
     SystemParams,
+    _substep_plan,
     integrate,
     number_operator,
     qubit_operator,
@@ -241,6 +246,25 @@ def test_memory_kernel_matches_quadrature(epsilon, delta, g, kappa, f,
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(epsilon=st.floats(0.05, 2.0), delta=st.floats(0.0, 1.0),
+       g=st.floats(0.005, 0.1), kappa=st.floats(0.05, 1.0),
+       f=st.floats(0.1, 1.0), delta_omega=st.floats(-1.5, 1.5),
+       times=st.lists(st.floats(0.0, 400.0), max_size=12))
+def test_memory_kernel_over_array_equals_scalar_calls(epsilon, delta, g, kappa,
+                                                      f, delta_omega, times):
+    # time_dependent mode tabulates K over all stage times of an interval in
+    # one call; that must be exactly what per-time calls give
+    p = SystemParams(epsilon=epsilon, delta=delta, g=g, kappa=kappa, f=f,
+                     delta_omega=delta_omega, s_ii=1.0)
+    b = eigenbasis(epsilon, delta)
+    t = np.array([0.0, 400.0] + times)
+    got = _memory_kernel(p, b, t)
+    assert got.shape == t.shape + (2, 2, 2, 2)
+    want = np.stack([_memory_kernel(p, b, float(tk)) for tk in t])
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------- reduced dynamics
 
 def test_markov_relaxation_matches_rate_equation():
@@ -331,3 +355,85 @@ def test_evolve_reduced_validation():
         evolve_reduced(P_SYM, B_SYM, rho0, [1.0, 2.0])
     with pytest.raises(ValueError, match="time_dependent mode only"):
         evolve_reduced(P_SYM, B_SYM, rho0, [0.0, 1.0], mode="markov", step=0.1)
+
+
+# the reduced-job relaxation point and the coherence-doubling point
+_TD_CASES = [
+    (SystemParams(epsilon=0.05, delta=1.0, g=0.05, kappa=1.0, f=1.0,
+                  delta_omega=0.0, s_ii=2.0),
+     np.diag([0.0, 1.0]).astype(complex), np.linspace(0.0, 40.0, 21)),
+    (SystemParams(epsilon=1.0, delta=0.0, g=0.01, kappa=1.0, f=0.5,
+                  delta_omega=0.0, s_ii=2.0),
+     0.5 * np.ones((2, 2), dtype=complex), np.linspace(0.0, 16.0, 33)),
+]
+
+
+@pytest.mark.parametrize("p, rho0, tg", _TD_CASES)
+def test_time_dependent_matches_adaptive_ode_oracle(p, rho0, tg):
+    # independent integrator: DOP853 on rho' = -K(t) rho with K from
+    # scalar kernel calls at whatever times the adaptive stepper picks
+    b = eigenbasis(p.epsilon, p.delta)
+    rec = evolve_reduced(p, b, rho0, tg, mode="time_dependent")
+    sol = sci_integrate.solve_ivp(
+        lambda t, y: -(_memory_kernel(p, b, t).reshape(4, 4) @ y),
+        (tg[0], tg[-1]), rho0.reshape(4), method="DOP853", t_eval=tg,
+        rtol=1e-12, atol=1e-14)
+    assert sol.success
+    ref = sol.y.T.reshape(-1, 2, 2)
+    assert np.abs(rec.matrices - ref).max() <= 1e-10
+
+
+def test_time_dependent_tabulates_the_kernel_once_per_interval(monkeypatch):
+    # an irregular grid whose substep h = span / n_sub is not representable:
+    # every time integrate's rhs asks for must be one the per-interval
+    # table was built at, from the same index formula, with one kernel
+    # call (over an array of times) per grid interval
+    p, rho0, _ = _TD_CASES[0]
+    b = eigenbasis(p.epsilon, p.delta)
+    grid, step = np.array([0.0, 0.3, 1.0, 1.7]), 0.07
+    want = evolve_reduced(p, b, rho0, grid, mode="time_dependent", step=step)
+
+    kernel_times, rhs_times = [], []
+    kernel, run = backaction._memory_kernel, backaction.integrate
+
+    def counted_kernel(params, basis, t):
+        kernel_times.append(np.array(t))
+        return kernel(params, basis, t)
+
+    def recording_integrate(rhs, y0, t_grid, h_max):
+        def recorded(tk, y):
+            rhs_times.append(tk)
+            return rhs(tk, y)
+        return run(recorded, y0, t_grid, h_max)
+
+    monkeypatch.setattr(backaction, "_memory_kernel", counted_kernel)
+    monkeypatch.setattr(backaction, "integrate", recording_integrate)
+    got = evolve_reduced(p, b, rho0, grid, mode="time_dependent", step=step)
+
+    assert np.array_equal(got.matrices, want.matrices)
+    assert len(kernel_times) == len(grid) - 1
+    assert all(k.ndim == 1 for k in kernel_times)
+    expected = []
+    for t0, h, n_sub in _substep_plan(grid, step):
+        for i in range(n_sub):
+            tk = t0 + i * h
+            expected += [tk, tk + 0.5 * h, tk + 0.5 * h, tk + h]
+    assert rhs_times == expected
+    assert set(rhs_times) <= set(np.concatenate(kernel_times).tolist())
+
+
+def test_evolve_reduced_names_the_first_invalid_node(monkeypatch):
+    # the per-node check runs over the whole record at once but must still
+    # report the earliest failing node, trace before Hermiticity
+    ok = 0.5 * np.eye(2, dtype=complex)
+    skewed = ok + np.array([[0.0, 2e-9], [0.0, 0.0]])
+    drifted = 1.1 * skewed
+    grid = [0.0, 0.25, 0.5, 0.75]
+    for nodes, message in (([ok, ok, skewed, drifted],
+                            "lost Hermiticity at t = 0.5"),
+                           ([ok, drifted, skewed, ok],
+                            "trace drifted at t = 0.25")):
+        monkeypatch.setattr(backaction, "integrate",
+                            lambda rhs, y0, t, step, nodes=nodes: nodes)
+        with pytest.raises(NumericsError, match=message):
+            evolve_reduced(P_SYM, B_SYM, ok, grid, mode="time_dependent")

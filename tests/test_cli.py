@@ -101,6 +101,57 @@ def test_parse_config_overrides():
         parse_config("", mode="fig3", overrides={"qqq": "1"})
 
 
+# valid values for every key that parse_config takes; the sweep block is
+# all-or-none and t_max >= t_step is kept by drawing t_max as a multiple
+_CONFIG_VALUES = {
+    "epsilon": st.floats(-20.0, 20.0), "delta": st.floats(0.0, 5.0),
+    "g": st.floats(-1.0, 1.0), "kappa": st.floats(1e-3, 2.0),
+    "gamma1": st.floats(0.0, 1.0), "gamma2": st.floats(0.0, 1.0),
+    "f": st.floats(0.0, 3.0), "delta_omega": st.floats(-3.0, 3.0),
+    "s_ii": st.floats(1e-3, 50.0), "fock_dim": st.integers(2, 64),
+    "threads": st.integers(1, 8), "output": st.sampled_from(["a.csv", "out/b.csv"]),
+}
+
+
+@st.composite
+def _config_keys(draw):
+    keys = draw(st.fixed_dictionaries({}, optional=_CONFIG_VALUES))
+    t_step = draw(st.floats(1e-3, 1.0))
+    keys.update(t_step=t_step, t_max=t_step * draw(st.integers(1, 50)))
+    if draw(st.booleans()):
+        keys.update(sweep_param=draw(st.sampled_from(["g", "kappa", "delta_omega"])),
+                    sweep_start=draw(st.floats(-1.0, 1.0)),
+                    sweep_stop=draw(st.floats(-1.0, 1.0)),
+                    sweep_count=draw(st.integers(2, 50)))
+    return keys
+
+
+def _config_text(keys):
+    return "".join(f"{k} = {v!r}\n" if not isinstance(v, str) else f"{k} = {v}\n"
+                   for k, v in keys.items())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(keys=_config_keys(), overridden=st.data(),
+       mode=st.sampled_from(["analytic", "backaction", "fig2", "fig3", "repeat"]))
+def test_parse_config_overrides_equal_text(keys, overridden, mode):
+    # --set KEY=VALUE applied over a config file gives the config that
+    # writing the same value into the file gives, for any split of the keys,
+    # whether the file leaves an overridden key out or holds another value
+    names = sorted(keys)
+    moved = overridden.draw(st.lists(st.sampled_from(names), unique=True))
+    stale = overridden.draw(st.lists(st.sampled_from(moved), unique=True)
+                            if moved else st.just([]))
+    text_keys = {k: v for k, v in keys.items() if k not in moved}
+    text_keys.update({k: "stale" if isinstance(keys[k], str) else keys[k] + 1
+                      for k in stale})
+    overrides = {k: (keys[k] if isinstance(keys[k], str) else repr(keys[k]))
+                 for k in moved}
+    via_set = parse_config(_config_text(text_keys), mode=mode,
+                           overrides=overrides)
+    assert via_set == parse_config(_config_text(keys), mode=mode)
+
+
 def test_system_params_resolution():
     cfg = parse_config("kappa = 0.5\n", mode="fig3")
     p = cfg.system_params(delta_omega=0.25)

@@ -11,12 +11,14 @@ formulas in `analytic`).
 The generator does not depend on time in this frame, so evolve propagates
 it exactly: core.expm_action applies the truncated Taylor series of
 exp(L dt) through Liouvillian.apply alone, never forming the
-(2 dim)^2 x (2 dim)^2 superoperator.  apply costs two complex matmuls for
-the effective-Hamiltonian commutator plus one elementwise product per
-jump operator (each has a single nonzero diagonal, so L rho L+ is a
-weighted shifted slice of rho), and writes into a caller-owned buffer.
-The RK4 integrator in core remains only for the time-dependent reduced
-kernel in `backaction`.
+(2 dim)^2 x (2 dim)^2 superoperator.  Every state it propagates, and
+every Taylor term, is Hermitian, and apply is the generator on Hermitian
+operators: one complex matmul X = h_eff rho gives the effective-Hamiltonian
+commutator as -i(X - X+), and each jump operator adds one elementwise
+product (each has a single nonzero diagonal, so L rho L+ is a weighted
+shifted slice of rho).  The result is exactly Hermitian and is written
+into a caller-owned buffer.  The RK4 integrator in core remains only for
+the time-dependent reduced kernel in `backaction`.
 """
 
 from __future__ import annotations
@@ -66,10 +68,13 @@ class Liouvillian:
     at +1, sigma_- (x) I at -dim, sigma_z (x) I at 0); anything else
     raises ValueError.  Then (c L rho L+)[i, j] = c v_i v_j* rho[i+o, j+o],
     so apply adds each jump term as one product of a weight matrix built
-    here with a shifted slice of rho: two matmuls plus k elementwise
-    products in all, not 2 + 2k matmuls.  apply works in a scratch array
-    owned by this object, so it is not re-entrant: do not call it from
-    two threads at once on the same Liouvillian.
+    here with a shifted slice of rho.  apply takes Hermitian rho only: then
+    rho h_eff+ = (h_eff rho)+, so one matmul plus k elementwise products
+    make the whole generator, and with real jump weights (all that
+    build_liouvillian makes) the result is exactly Hermitian.  apply
+    works in a scratch array owned by this object, so it is not
+    re-entrant: do not call it from two threads at once on the same
+    Liouvillian.
     """
 
     params: SystemParams
@@ -78,7 +83,6 @@ class Liouvillian:
     hamiltonian: np.ndarray
     dissipators: tuple = field(default_factory=tuple)
     h_eff: np.ndarray = field(init=False, repr=False, compare=False)
-    h_eff_dag: np.ndarray = field(init=False, repr=False, compare=False)
     norm_bound: float = field(init=False, repr=False, compare=False)
     # (weight matrix, target slice, source slice) per jump operator
     _jumps: tuple = field(init=False, repr=False, compare=False)
@@ -94,7 +98,6 @@ class Liouvillian:
         bound += sum(c * np.linalg.norm(l_op, 1) ** 2
                      for c, l_op, _ in self.dissipators)
         object.__setattr__(self, "h_eff", h_eff)
-        object.__setattr__(self, "h_eff_dag", np.ascontiguousarray(h_eff.conj().T))
         object.__setattr__(self, "norm_bound", float(bound))
         object.__setattr__(self, "_jumps", tuple(
             _shifted_jump(c, l_op) for c, l_op, _ in self.dissipators))
@@ -103,12 +106,13 @@ class Liouvillian:
     def apply(self, rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The generator applied to rho, written into out and returned.
 
-        out must not overlap rho; with out=None a new array is returned.
+        One matmul: rho must be Hermitian, and the result is exactly
+        Hermitian (see the class docstring).  out must not overlap rho;
+        with out=None a new array is returned.  Not re-entrant.
         """
-        tmp = self._scratch
-        out = np.matmul(self.h_eff, rho, out=out)
-        np.matmul(rho, self.h_eff_dag, out=tmp)
-        out -= tmp
+        tmp = np.matmul(self.h_eff, rho, out=self._scratch)
+        out = np.conjugate(tmp.T, out=np.empty_like(tmp) if out is None else out)
+        np.subtract(tmp, out, out=out)
         out *= -1j
         for w, dst, src in self._jumps:
             np.multiply(w, rho[src, src], out=tmp[dst, dst])
@@ -241,13 +245,18 @@ def evolve(liou: Liouvillian, rho0: DensityMatrix,
            t_grid: Sequence[float]) -> EvolutionRecord:
     """Propagate the master equation exactly over t_grid (must start at 0).
 
-    Raises NumericsError if an evolved state stops satisfying the
-    density-matrix tolerances.
+    rho0 is first projected onto its Hermitian part (m + m+)/2, which is
+    rho0 itself bit for bit when it is exactly Hermitian and otherwise
+    drops the anti-Hermitian noise DensityMatrix admits (up to 1e-10), as
+    Liouvillian.apply needs; every node is then exactly Hermitian.  Raises
+    NumericsError if an evolved state stops satisfying the density-matrix
+    tolerances.
     """
     if rho0.space.dim != liou.space.dim:
         raise ValueError("rho0 lives on a different Fock space than the generator")
     t = np.asarray(t_grid, dtype=float)
-    mats = expm_action(liou.apply, rho0.matrix, t, liou.norm_bound)
+    m0 = rho0.matrix
+    mats = expm_action(liou.apply, 0.5 * (m0 + m0.conj().T), t, liou.norm_bound)
 
     states = []
     for tk, m in zip(t, mats):

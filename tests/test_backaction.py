@@ -132,10 +132,14 @@ def test_number_correlator_matches_quantum_regression():
     assert n_bar == pytest.approx(1.0, abs=1e-8)
 
     taus = np.linspace(0.0, 30.0, 16)   # kappa tau up to 3
-    ys = integrate(lambda t, y: liou.apply(y),
-                   (n_full - n_bar * np.eye(2 * space.dim)) @ rho_ss,
-                   taus, step=0.2)
-    c_me = np.array([np.einsum("ij,ji->", n_full, y) for y in ys])
+    y0 = (n_full - n_bar * np.eye(2 * space.dim)) @ rho_ss
+    # apply takes Hermitian input only: by linearity, integrate the
+    # Hermitian parts of y0 = h1 + i h2 separately and recombine
+    h1, h2 = 0.5 * (y0 + y0.conj().T), -0.5j * (y0 - y0.conj().T)
+    ys1, ys2 = (integrate(lambda t, y: liou.apply(y), h, taus, step=0.2)
+                for h in (h1, h2))
+    c_me = np.array([np.einsum("ij,ji->", n_full, a + 1j * b)
+                     for a, b in zip(ys1, ys2)])
     c_model = number_correlator(p, taus)
     assert np.max(np.abs(c_me - c_model)) / n_bar < 2e-2
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from qndsim import core
 from qndsim.core import (
     DensityMatrix,
     FockSpace,
@@ -303,3 +304,38 @@ def test_expm_action_nodes_are_fresh_arrays():
     for t, y in zip((0.25, 1.0, 4.0), ys[1:]):
         np.testing.assert_allclose(y, scipy.linalg.expm(a * t) @ y0,
                                    rtol=1e-13, atol=1e-14)
+
+
+def _terms_per_substep(a, y0, grid, norm):
+    # apply calls per Taylor substep: each substep's first call takes the
+    # partial-sum array itself, every later one a term buffer
+    ids = []
+
+    def apply(y, out):
+        ids.append(id(y))
+        return np.matmul(a, y, out=out)
+
+    ys = expm_action(apply, y0, grid, norm)
+    starts = [k for k, i in enumerate(ids) if i == ids[0]]
+    return ys, np.diff(starts + [len(ids)])
+
+
+def test_expm_action_stops_no_earlier_than_the_complex_norm_rule(monkeypatch):
+    # the stopping test uses the max-abs over real and imaginary parts,
+    # at least 1/sqrt(2) of the complex max-abs, at 2^-53/sqrt(2); so no
+    # substep may take fewer terms than the complex-norm test at 2^-53
+    # (on this generator, dropping the 1/sqrt(2) ends one substep early)
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    y0 = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    norm = np.linalg.norm(a, 1)
+    grid = np.array([0.0, 0.1, 3.0, 20.0, 25.0]) / norm
+    ys, terms = _terms_per_substep(a, y0, grid, norm)
+    monkeypatch.setattr(core, "_inf_norm", lambda y: float(np.abs(y).max()))
+    monkeypatch.setattr(core, "_STOP_TOL", core._TAYLOR_TOL)
+    ys_ref, terms_ref = _terms_per_substep(a, y0, grid, norm)
+    assert len(terms) == len(terms_ref)
+    assert np.all(terms >= terms_ref)
+    for y, y_ref in zip(ys, ys_ref):
+        np.testing.assert_allclose(y, y_ref, rtol=0.0,
+                                   atol=1e-14 * np.abs(y_ref).max())

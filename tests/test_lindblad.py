@@ -156,10 +156,13 @@ def _superoperator(liou):
 
 
 def _random_state(n, seed):
+    # exactly Hermitian, as apply requires: m m+ from a complex matmul can
+    # be off by an ulp at some sizes (n = 14 with OpenBLAS)
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = m @ m.conj().T
-    return rho / rho.trace()
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / rho.trace().real
 
 
 @_PROPERTY
@@ -174,7 +177,11 @@ def test_apply_matches_commutator_form(seed, fock_dim, mode, **phys):
     for c, l_op, _ in liou.dissipators:
         ldl = l_op.conj().T @ l_op
         ref += c * (l_op @ rho @ l_op.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
-    got = liou.apply(rho)
+    # apply takes Hermitian input only: by linearity, apply it to the
+    # Hermitian parts of rho = h1 + i h2 and recombine
+    h1 = 0.5 * (rho + rho.conj().T)
+    h2 = -0.5j * (rho - rho.conj().T)
+    got = liou.apply(h1) + 1j * liou.apply(h2)
     assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -232,7 +239,7 @@ def test_liouvillian_apply_preserves_trace_and_hermiticity(seed, fock_dim, mode,
     out = liou.apply(_random_state(2 * fock_dim, seed))
     scale = max(1.0, np.abs(out).max())
     assert abs(out.trace()) <= 1e-13 * scale
-    assert np.abs(out - out.conj().T).max() <= 1e-13 * scale
+    assert np.array_equal(out, out.conj().T)
 
 
 def test_qubit_flip_mode_approaches_golden_rule_rates():
@@ -286,6 +293,27 @@ def test_evolution_record_observables():
     assert rec.valid
     traces = [abs(st.matrix.trace() - 1.0) for st in rec.states]
     assert max(traces) < 1e-9
+
+
+def test_evolve_projects_rho0_onto_its_hermitian_part():
+    # DensityMatrix admits anti-Hermitian noise up to 1e-10; evolve drops
+    # it, so every node is exactly Hermitian and the run equals that of
+    # the Hermitian part
+    space = FockSpace(6)
+    liou = build_liouvillian(SystemParams(epsilon=1.0, delta=0.1, g=0.3,
+                                          kappa=0.1, gamma1=0.05, gamma2=0.02,
+                                          f=0.05, delta_omega=0.3, s_ii=1.0),
+                             space, coupling_mode="sigma_n")
+    herm = plus_vacuum(space).matrix
+    noise = np.random.default_rng(5).normal(size=herm.shape)
+    noisy = herm + 1e-12j * (noise + noise.T)   # anti-Hermitian part only
+    assert not np.array_equal(noisy, noisy.conj().T)
+    grid = np.linspace(0.0, 5.0, 6)
+    rec = evolve(liou, DensityMatrix(space, noisy), grid)
+    ref = evolve(liou, DensityMatrix(space, herm), grid)
+    for st, st_ref in zip(rec.states, ref.states):
+        assert np.array_equal(st.matrix, st.matrix.conj().T)
+        assert np.array_equal(st.matrix, st_ref.matrix)
 
 
 def test_evolve_rejects_mismatched_space():

@@ -15,6 +15,7 @@ keys are rejected.  The run mode is always given on the command line.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import analytic, backaction, lindblad
 from .core import (DensityMatrix, FockSpace, NumericsError, SystemParams,
-                   fock_vacuum, tensor)
+                   fock_vacuum)
 
 __all__ = [
     "ConfigError",
@@ -135,12 +136,15 @@ def _convert(key: str, value: str, where: str):
     try:
         if key in _INT_KEYS:
             return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        return value
+        if key not in _FLOAT_KEYS:
+            return value
+        number = float(value)
     except ValueError:
         kind = "integer" if key in _INT_KEYS else "number"
         raise ConfigError(f"{where}: malformed {kind} for {key!r}: {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: non-finite number for {key!r}: {value!r}")
+    return number
 
 
 def parse_config(text: str, mode: Optional[str] = None,
@@ -317,10 +321,6 @@ def _build_liouvillian(cfg: RunConfig) -> lindblad.Liouvillian:
                                       coupling_mode=mode)
 
 
-def _vacuum_with_qubit(space: FockSpace, qubit: np.ndarray) -> DensityMatrix:
-    return DensityMatrix(space, tensor(qubit, fock_vacuum(space)))
-
-
 def run_lindblad(cfg: RunConfig):
     """Master-equation run from (|0> + |1>)/sqrt(2) times vacuum.
 
@@ -330,7 +330,7 @@ def run_lindblad(cfg: RunConfig):
     """
     liou = _build_liouvillian(cfg)
     plus = 0.5 * np.ones((2, 2), dtype=complex)
-    rho0 = _vacuum_with_qubit(liou.space, plus)
+    rho0 = DensityMatrix.from_product(liou.space, plus, fock_vacuum(liou.space))
     rec = lindblad.evolve(liou, rho0, _time_grid(cfg))
     rows = [(float(t), rec.sigma_z[k], rec.sigma_x[k], rec.a_mean[k].real,
              rec.a_mean[k].imag, rec.n_mean[k], rec.coherence01[k],
@@ -357,7 +357,7 @@ def run_repeat(cfg: RunConfig):
     liou = _build_liouvillian(cfg)
     ground = np.zeros((2, 2), dtype=complex)
     ground[0, 0] = 1.0
-    rho0 = _vacuum_with_qubit(liou.space, ground)
+    rho0 = DensityMatrix.from_product(liou.space, ground, fock_vacuum(liou.space))
     stats = lindblad.repeatability_experiment(liou, rho0, t_meas=cfg.t_max,
                                               n_meas=3)
     rows = [(float(i + 1), float(p)) for i, p in enumerate(stats.pair_agreement)]
@@ -431,10 +431,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   f"({truncation}); increase fock_dim", file=sys.stderr)
             return 3
         return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

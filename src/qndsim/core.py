@@ -125,7 +125,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
+        # contiguous, so the real view below is defined for any input
+        m = np.ascontiguousarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
         n = 2 * self.space.dim
         if m.shape != (n, n):

@@ -14,11 +14,11 @@ exp(L dt) through Liouvillian.apply alone, never forming the
 (2 dim)^2 x (2 dim)^2 superoperator.  Every state it propagates, and
 every Taylor term, is Hermitian, and apply is the generator on Hermitian
 operators: one complex matmul X = h_eff rho gives the effective-Hamiltonian
-commutator as -i(X - X+), and each jump operator adds one elementwise
-product (each has a single nonzero diagonal, so L rho L+ is a weighted
-shifted slice of rho).  The result is exactly Hermitian and is written
-into a caller-owned buffer.  The RK4 integrator in core remains only for
-the time-dependent reduced kernel in `backaction`.
+commutator as -i(X - X+), and each jump operator, kept as its one nonzero
+diagonal, adds one weighted shifted slice of rho.  The result is exactly
+Hermitian and is written into a caller-owned buffer.  evolve reads every
+observable off three diagonals of each node.  The RK4 integrator in core
+remains only for the time-dependent reduced kernel in `backaction`.
 """
 
 from __future__ import annotations
@@ -54,27 +54,25 @@ _BRANCH_PRUNE = 1e-12
 class Liouvillian:
     """Precomputed generator: Hamiltonian plus weighted jump operators.
 
-    dissipators holds (coefficient, L, L+) triples with the coefficient
-    already including any rate prefactor.  Construction folds the
-    anticommutators into the effective Hamiltonian
+    dissipators holds one (c, o, v) triple per jump operator L: the
+    coefficient c, already including any rate prefactor, and L's one
+    nonzero diagonal v at offset o, L[i, i + o] = v_i.  v must have length
+    2 dim - |o|, else ValueError.  L+L is then diagonal, and construction
+    folds the anticommutators into the effective Hamiltonian
     h_eff = H - (i/2) sum_k c_k L+L, so that
     apply(rho) = -i(h_eff rho - rho h_eff+) + sum_k c_k L rho L+,
     and bounds the 1-norm of that superoperator on rho flattened:
-    norm_bound = 2 ||h_eff - mu I||_1 + sum_k c_k ||L||_1^2, with mu the
+    norm_bound = 2 ||h_eff - mu I||_1 + sum_k c_k max|v_k|^2, with mu the
     midpoint of H's real diagonal (the shift cancels in the commutator).
 
-    Every jump operator must have exactly one nonzero diagonal, at offset
-    o (L[i, i + o] = v_i), as all that build_liouvillian makes do (I (x) a
-    at +1, sigma_- (x) I at -dim, sigma_z (x) I at 0); anything else
-    raises ValueError.  Then (c L rho L+)[i, j] = c v_i v_j* rho[i+o, j+o],
-    so apply adds each jump term as one product of a weight matrix built
-    here with a shifted slice of rho.  apply takes Hermitian rho only: then
-    rho h_eff+ = (h_eff rho)+, so one matmul plus k elementwise products
-    make the whole generator, and with real jump weights (all that
-    build_liouvillian makes) the result is exactly Hermitian.  apply
-    works in a scratch array owned by this object, so it is not
-    re-entrant: do not call it from two threads at once on the same
-    Liouvillian.
+    (c L rho L+)[i, j] = c v_i v_j* rho[i+o, j+o], so apply adds each jump
+    term as one weight matrix times a shifted slice of rho.  apply takes
+    Hermitian rho only: then rho h_eff+ = (h_eff rho)+, so one matmul plus
+    k elementwise products make the whole generator, and with real jump
+    weights (all that build_liouvillian makes) the result is exactly
+    Hermitian.  apply works in a scratch array owned by this object, so it
+    is not re-entrant: do not call it from two threads at once on the
+    same Liouvillian.
     """
 
     params: SystemParams
@@ -89,18 +87,24 @@ class Liouvillian:
     _scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        n = len(self.hamiltonian)
         h_eff = np.array(self.hamiltonian, dtype=complex)
-        for c, l_op, l_dag in self.dissipators:
-            h_eff -= (0.5j * c) * (l_dag @ l_op)
+        jumps = []
+        for c, o, v in self.dissipators:
+            if not (abs(o) < n and np.shape(v) == (n - abs(o),)):
+                raise ValueError(f"jump diagonal at offset {o} must have length "
+                                 f"{n - abs(o)}, got shape {np.shape(v)}")
+            dst, src = (slice(0, n - o), slice(o, n)) if o >= 0 else \
+                (slice(-o, n), slice(0, n + o))
+            h_eff[src, src] -= np.diag((0.5j * c) * (v.conj() * v))
+            jumps.append((c * np.outer(v, v.conj()), dst, src))
         diag = self.hamiltonian.diagonal().real
         mu = 0.5 * (diag.max() + diag.min())
-        bound = 2.0 * np.linalg.norm(h_eff - mu * np.eye(len(h_eff)), 1)
-        bound += sum(c * np.linalg.norm(l_op, 1) ** 2
-                     for c, l_op, _ in self.dissipators)
+        bound = 2.0 * np.linalg.norm(h_eff - mu * np.eye(n), 1)
+        bound += sum(c * np.abs(v).max() ** 2 for c, _, v in self.dissipators)
         object.__setattr__(self, "h_eff", h_eff)
         object.__setattr__(self, "norm_bound", float(bound))
-        object.__setattr__(self, "_jumps", tuple(
-            _shifted_jump(c, l_op) for c, l_op, _ in self.dissipators))
+        object.__setattr__(self, "_jumps", tuple(jumps))
         object.__setattr__(self, "_scratch", np.empty_like(h_eff))
 
     def apply(self, rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -118,22 +122,6 @@ class Liouvillian:
             np.multiply(w, rho[src, src], out=tmp[dst, dst])
             out[dst, dst] += tmp[dst, dst]
         return out
-
-
-def _shifted_jump(c: float, l_op: np.ndarray) -> tuple:
-    # c L rho L+ = (c v v*^T) o rho[src, src], added at [dst, dst], for L
-    # with its one nonzero diagonal v at offset o
-    rows, cols = np.nonzero(l_op)
-    offsets = sorted(set((cols - rows).tolist()))
-    if len(offsets) != 1:
-        raise ValueError(f"jump operator must have exactly one nonzero "
-                         f"diagonal, found offsets {offsets}")
-    o = offsets[0]
-    n = len(l_op)
-    v = np.diagonal(l_op, o)
-    dst, src = (slice(0, n - o), slice(o, n)) if o >= 0 else \
-        (slice(-o, n), slice(0, n + o))
-    return c * np.outer(v, v.conj()), dst, src
 
 
 @dataclass(frozen=True)
@@ -186,7 +174,8 @@ def build_liouvillian(params: SystemParams, space: FockSpace,
     eigenbasis, coupling sigma_n = cos(eta) sigma_z + sin(eta) sigma_x with
     eta = atan2(delta, epsilon); this keeps the QND-violating off-diagonal
     piece.  Intrinsic qubit dissipators act in the same qubit basis as the
-    Hamiltonian.
+    Hamiltonian.  Each jump operator is given by its one nonzero diagonal:
+    I (x) a at offset +1, sigma_- (x) I at -dim and sigma_z (x) I at 0.
     """
     sz = qubit_operator("sigma_z")
     ident = qubit_operator("identity")
@@ -204,41 +193,31 @@ def build_liouvillian(params: SystemParams, space: FockSpace,
         raise ValueError(f"coupling_mode must be 'sigma_z' or 'sigma_n', "
                          f"got {coupling_mode!r}")
 
+    d = space.dim
     a = annihilation(space)
     n_op = number_operator(space)
-    i_f = np.eye(space.dim, dtype=complex)
+    i_f = np.eye(d, dtype=complex)
     h = (tensor(qubit_h, i_f)
          + tensor(params.delta_omega * ident - params.g * coupling, n_op)
          + tensor(ident, params.f * (a + a.conj().T)))
 
     dissipators = []
     if params.kappa > 0.0:
-        l_op = tensor(ident, a)
-        dissipators.append((params.kappa, l_op, l_op.conj().T))
+        dissipators.append((params.kappa, 1, _ladder_diagonal(space)))
     if params.gamma1 > 0.0:
-        l_op = tensor(qubit_operator("sigma_minus"), i_f)
-        dissipators.append((params.gamma1, l_op, l_op.conj().T))
+        dissipators.append((params.gamma1, -d, np.ones(d, dtype=complex)))
     if params.gamma2 > 0.0:
-        l_op = tensor(sz, i_f)
-        dissipators.append((params.gamma2 / 2.0, l_op, l_op.conj().T))
+        dissipators.append((params.gamma2 / 2.0, 0, np.repeat([1.0 + 0j, -1.0], d)))
 
     return Liouvillian(params=params, space=space, coupling_mode=coupling_mode,
                        hamiltonian=h, dissipators=tuple(dissipators))
 
 
-def _observable_ops(space: FockSpace) -> dict:
-    ident = qubit_operator("identity")
-    i_f = np.eye(space.dim, dtype=complex)
-    top = np.zeros((space.dim, space.dim), dtype=complex)
-    top[space.dim - 1, space.dim - 1] = 1.0
-    top[space.dim - 2, space.dim - 2] = 1.0
-    return {
-        "sz": tensor(qubit_operator("sigma_z"), i_f),
-        "sx": tensor(qubit_operator("sigma_x"), i_f),
-        "a": tensor(ident, annihilation(space)),
-        "n": tensor(ident, number_operator(space)),
-        "top": tensor(ident, top),
-    }
+def _ladder_diagonal(space: FockSpace) -> np.ndarray:
+    # the +1 diagonal of I (x) a: sqrt(1..dim-1) in each qubit block, 0
+    # where the blocks meet
+    root_n = np.diagonal(annihilation(space), 1)
+    return np.concatenate([root_n, [0.0], root_n])
 
 
 def evolve(liou: Liouvillian, rho0: DensityMatrix,
@@ -251,6 +230,11 @@ def evolve(liou: Liouvillian, rho0: DensityMatrix,
     Liouvillian.apply needs; every node is then exactly Hermitian.  Raises
     NumericsError if an evolved state stops satisfying the density-matrix
     tolerances.
+
+    The observables are read off three diagonals of each node: the
+    populations give sigma_z, n_mean and top_fock; the +dim diagonal sums
+    to tr rho01, so sigma_x = 2 Re tr rho01 and coherence01 = |tr rho01|;
+    and the -1 diagonal against that of I (x) a gives a_mean.
     """
     if rho0.space.dim != liou.space.dim:
         raise ValueError("rho0 lives on a different Fock space than the generator")
@@ -265,27 +249,18 @@ def evolve(liou: Liouvillian, rho0: DensityMatrix,
         except ValueError as exc:
             raise NumericsError(f"state invalid at t = {tk:.6g}: {exc}") from exc
 
-    ops = _observable_ops(liou.space)
-    n_t = len(states)
-    sz = np.empty(n_t)
-    sx = np.empty(n_t)
-    a_mean = np.empty(n_t, dtype=complex)
-    n_mean = np.empty(n_t)
-    coh = np.empty(n_t)
-    top = np.empty(n_t)
-    for k, st in enumerate(states):
-        m = st.matrix
-        sz[k] = np.einsum("ij,ji->", ops["sz"], m).real
-        sx[k] = np.einsum("ij,ji->", ops["sx"], m).real
-        a_mean[k] = np.einsum("ij,ji->", ops["a"], m)
-        n_mean[k] = np.einsum("ij,ji->", ops["n"], m).real
-        coh[k] = abs(st.reduced_qubit()[0, 1])
-        top[k] = np.einsum("ij,ji->", ops["top"], m).real
-
-    valid = bool(np.all(top <= liou.space.top_population_threshold))
-    return EvolutionRecord(t_grid=t, states=states, sigma_z=sz, sigma_x=sx,
-                           a_mean=a_mean, n_mean=n_mean, coherence01=coh,
-                           top_fock=top, valid=valid)
+    d = liou.space.dim
+    pop = np.array([m.diagonal().real for m in mats])
+    tr01 = np.array([m.diagonal(d).sum() for m in mats])
+    top = pop[:, [d - 2, d - 1, -2, -1]].sum(axis=1)
+    return EvolutionRecord(
+        t_grid=t, states=states,
+        sigma_z=pop[:, :d].sum(axis=1) - pop[:, d:].sum(axis=1),
+        sigma_x=2.0 * tr01.real,
+        a_mean=np.array([m.diagonal(-1) for m in mats]) @ _ladder_diagonal(liou.space),
+        n_mean=pop @ np.tile(np.arange(d, dtype=float), 2),
+        coherence01=np.abs(tr01), top_fock=top,
+        valid=bool(np.all(top <= liou.space.top_population_threshold)))
 
 
 def conditional_amplitude(state: DensityMatrix, qubit_index: int) -> complex:

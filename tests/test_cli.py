@@ -87,6 +87,8 @@ def test_parse_config_sweep_block():
     ("fock_dim = 1\n", "lindblad", "fock_dim must be >= 2"),
     ("threads = 0\n", "fig3", "threads must be >= 1"),
     ("kappa = -1\n", "fig3", "kappa must be > 0"),
+    ("g = nan\n", "fig3", "line 1: non-finite number for 'g'"),
+    ("t_step = 0.01\nt_max = inf\n", "fig2", "line 2: non-finite number for 't_max'"),
 ])
 def test_parse_config_rejections(text, mode, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -99,6 +101,8 @@ def test_parse_config_overrides():
     assert cfg.kappa == 0.3 and cfg.fock_dim == 16
     with pytest.raises(ConfigError, match="override: unknown key"):
         parse_config("", mode="fig3", overrides={"qqq": "1"})
+    with pytest.raises(ConfigError, match="override: non-finite number for 'sweep_stop'"):
+        parse_config(SWEEP_CFG, mode="analytic", overrides={"sweep_stop": "-inf"})
 
 
 # valid values for every key that parse_config takes; the sweep block is

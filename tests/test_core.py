@@ -175,6 +175,24 @@ def test_density_matrix_rejects_bad_states():
         DensityMatrix(space, nf)
 
 
+def test_density_matrix_accepts_non_contiguous_input():
+    space = FockSpace(3)
+    rng = np.random.default_rng(11)
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    rho = m @ m.conj().T
+    rho = 0.5 * (rho + rho.conj().T) / rho.trace().real
+    wide = np.zeros((6, 12), dtype=complex)
+    wide[:, ::2] = rho
+    # the transpose of a state is a state too
+    for view in (rho.T, wide[:, ::2]):
+        assert not view.flags.c_contiguous
+        np.testing.assert_array_equal(DensityMatrix(space, view).matrix,
+                                      DensityMatrix(space, view.copy()).matrix)
+    wide[0, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(space, wide[:, ::2])
+
+
 def test_fock_vacuum():
     v = fock_vacuum(FockSpace(3))
     assert v[0, 0] == 1.0

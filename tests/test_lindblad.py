@@ -25,6 +25,7 @@ from qndsim.core import (
     NumericsError,
     SystemParams,
     annihilation,
+    expectation,
     expm_action,
     fock_vacuum,
     integrate,
@@ -148,7 +149,8 @@ def _superoperator(liou):
     h = liou.hamiltonian
     eye = np.eye(len(h))
     sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for c, l_op, _ in liou.dissipators:
+    for c, o, v in liou.dissipators:
+        l_op = np.diag(v, o)
         ldl = l_op.conj().T @ l_op
         sup += c * (np.kron(l_op, l_op.conj())
                     - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T)))
@@ -174,7 +176,8 @@ def test_apply_matches_commutator_form(seed, fock_dim, mode, **phys):
     rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     h = liou.hamiltonian
     ref = -1j * (h @ rho - rho @ h)
-    for c, l_op, _ in liou.dissipators:
+    for c, o, v in liou.dissipators:
+        l_op = np.diag(v, o)
         ldl = l_op.conj().T @ l_op
         ref += c * (l_op @ rho @ l_op.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
     # apply takes Hermitian input only: by linearity, apply it to the
@@ -197,14 +200,33 @@ def test_apply_into_buffer_matches_fresh_result(seed, fock_dim, mode, **phys):
     np.testing.assert_array_equal(buf, liou.apply(rho))
 
 
-def test_liouvillian_rejects_jump_with_two_diagonals():
+def test_jump_diagonals_rebuild_the_tensor_operators():
+    # the (c, o, v) triples are the jump operators' one nonzero diagonal;
+    # _superoperator and the commutator-form oracle rebuild L from them
+    p = SystemParams(epsilon=0.0, g=0.3, kappa=0.1, f=0.05, delta_omega=0.3,
+                     gamma1=0.02, gamma2=0.05, s_ii=1.0)
+    for dim in (2, 5):
+        space = FockSpace(dim)
+        i_f = np.eye(dim)
+        expected = [tensor(qubit_operator("identity"), annihilation(space)),
+                    tensor(qubit_operator("sigma_minus"), i_f),
+                    tensor(qubit_operator("sigma_z"), i_f)]
+        liou = build_liouvillian(p, space)
+        assert len(liou.dissipators) == 3
+        for (_, o, v), l_op in zip(liou.dissipators, expected):
+            np.testing.assert_array_equal(np.diag(v, o), l_op)
+
+
+def test_liouvillian_rejects_diagonal_that_does_not_fit_its_offset():
     space = FockSpace(4)
     base = build_liouvillian(P_ME, space)
-    l_op = tensor(qubit_operator("sigma_x"), np.eye(space.dim))  # offsets +-dim
-    with pytest.raises(ValueError, match="exactly one nonzero diagonal"):
-        Liouvillian(params=P_ME, space=space, coupling_mode="sigma_z",
-                    hamiltonian=base.hamiltonian,
-                    dissipators=((0.1, l_op, l_op.conj().T),))
+    n = 2 * space.dim
+    for o, v in ((1, np.ones(n)), (-space.dim, np.ones(n)),
+                 (0, np.ones(n - 1)), (n, np.ones(0))):
+        with pytest.raises(ValueError, match="must have length"):
+            Liouvillian(params=P_ME, space=space, coupling_mode="sigma_z",
+                        hamiltonian=base.hamiltonian,
+                        dissipators=((0.1, o, v.astype(complex)),))
 
 
 @_PROPERTY
@@ -293,6 +315,36 @@ def test_evolution_record_observables():
     assert rec.valid
     traces = [abs(st.matrix.trace() - 1.0) for st in rec.states]
     assert max(traces) < 1e-9
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), **_GENERATOR_DRAW)
+def test_evolve_observables_match_operator_traces(seed, fock_dim, mode, **phys):
+    # evolve reads each observable off one diagonal of the state; compare
+    # with tr(op rho) of the tensor-built operators at every node
+    liou = _draw_liouvillian(fock_dim, mode, **phys)
+    assert len(liou.dissipators) == 3
+    space = liou.space
+    ident = qubit_operator("identity")
+    i_f = np.eye(fock_dim)
+    top = np.zeros((fock_dim, fock_dim))
+    top[-1, -1] = top[-2, -2] = 1.0
+    ops = {"sigma_z": tensor(qubit_operator("sigma_z"), i_f),
+           "sigma_x": tensor(qubit_operator("sigma_x"), i_f),
+           "a_mean": tensor(ident, annihilation(space)),
+           "n_mean": tensor(ident, number_operator(space)),
+           "top_fock": tensor(ident, top)}
+    rho0 = DensityMatrix(space, _random_state(2 * fock_dim, seed))
+    rec = evolve(liou, rho0, np.linspace(0.0, 1.0, 4))
+    for k, st in enumerate(rec.states):
+        for name, op in ops.items():
+            ref = expectation(st, op)
+            if name != "a_mean":
+                ref = ref.real
+            assert getattr(rec, name)[k] == pytest.approx(ref, rel=1e-12,
+                                                          abs=1e-14), name
+        assert rec.coherence01[k] == pytest.approx(
+            abs(st.reduced_qubit()[0, 1]), rel=1e-12, abs=1e-14)
 
 
 def test_evolve_projects_rho0_onto_its_hermitian_part():

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QubitEigenbasis:
     """Energy eigenbasis of (epsilon/2) sigma_z + (delta/2) sigma_x."""
 
@@ -76,7 +76,7 @@ class RateSet:
     t_eff: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedRecord:
     """Interaction-picture reduced qubit evolution (energy basis)."""
 

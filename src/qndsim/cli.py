@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -72,9 +72,8 @@ class SweepSpec:
 class RunConfig:
     """One validated run: physical parameters plus artifact plumbing.
 
-    s_ii = None means "use the default 2/kappa" and is resolved lazily so
-    figure modes that re-derive it per kappa can tell it apart from an
-    explicit setting.
+    s_ii = None means 2/kappa of the configured kappa (resolved_s_ii); a
+    swept kappa keeps that value, and run_fig3 sets 2/kappa per linewidth.
     """
 
     epsilon: float = 10.0
@@ -151,8 +150,8 @@ def parse_config(text: str, mode: Optional[str] = None,
                  overrides: Optional[dict] = None) -> RunConfig:
     """Parse and validate a config; mode comes from the command line.
 
-    overrides maps key -> string value and is applied after the file text
-    (command-line --set).  Raises ConfigError naming the offending line/key.
+    overrides (key -> value, from --set, then --threads and -o) apply after
+    the file text.  Raises ConfigError naming the offending line/key.
     """
     raw = _parse_kv_lines(text)
     converted = {k: _convert(k, v, f"line {ln}") for k, (ln, v) in raw.items()}
@@ -405,11 +404,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if not sep:
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
             overrides[key.strip()] = value.strip()
+        if args.threads is not None:
+            overrides["threads"] = args.threads
+        if args.output:
+            overrides["output"] = args.output
 
         cfg = parse_config(text, args.mode, overrides)
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {args.threads}")
-        cfg = replace(cfg, output=args.output if args.output else cfg.output)
 
         truncation = None
         if cfg.mode in ("analytic", "backaction"):

@@ -113,7 +113,7 @@ _HERM_TOL = 1e-10
 _EIG_TOL = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Joint qubit (x) resonator state, validated on construction.
 

@@ -11,14 +11,8 @@ formulas in `analytic`).
 The generator does not depend on time in this frame, so evolve propagates
 it exactly: core.expm_action applies the truncated Taylor series of
 exp(L dt) through Liouvillian.apply alone, never forming the
-(2 dim)^2 x (2 dim)^2 superoperator.  Every state it propagates, and
-every Taylor term, is Hermitian, and apply is the generator on Hermitian
-operators: one complex matmul X = h_eff rho gives the effective-Hamiltonian
-commutator as -i(X - X+), and each jump operator, kept as its one nonzero
-diagonal, adds one weighted shifted slice of rho.  The result is exactly
-Hermitian and is written into a caller-owned buffer.  evolve reads every
-observable off three diagonals of each node.  The RK4 integrator in core
-remains only for the time-dependent reduced kernel in `backaction`.
+(2 dim)^2 x (2 dim)^2 superoperator.  The RK4 integrator in core remains
+only for the time-dependent reduced kernel in `backaction`.
 """
 
 from __future__ import annotations
@@ -46,11 +40,11 @@ __all__ = [
     "repeatability_experiment",
 ]
 
-# branches lighter than this are dropped from the measurement tree
+# repeatability_experiment drops (mixture, outcome) pieces lighter than this
 _BRANCH_PRUNE = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Liouvillian:
     """Precomputed generator: Hamiltonian plus weighted jump operators.
 
@@ -80,11 +74,11 @@ class Liouvillian:
     coupling_mode: str
     hamiltonian: np.ndarray
     dissipators: tuple = field(default_factory=tuple)
-    h_eff: np.ndarray = field(init=False, repr=False, compare=False)
-    norm_bound: float = field(init=False, repr=False, compare=False)
+    h_eff: np.ndarray = field(init=False, repr=False)
+    norm_bound: float = field(init=False, repr=False)
     # (weight matrix, target slice, source slice) per jump operator
-    _jumps: tuple = field(init=False, repr=False, compare=False)
-    _scratch: np.ndarray = field(init=False, repr=False, compare=False)
+    _jumps: tuple = field(init=False, repr=False)
+    _scratch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.hamiltonian)
@@ -124,7 +118,7 @@ class Liouvillian:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolutionRecord:
     """Time series of states and derived observables from one evolve() call.
 
@@ -143,14 +137,16 @@ class EvolutionRecord:
     valid: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepeatabilityStats:
     """Consecutive-outcome statistics from repeatability_experiment.
 
-    peak_top_fock is the largest top-two-level population of any branch at
-    any window node, and peak_round the earliest 1-based measurement round
-    whose own peak is within 1e-12 (relative) of it, so rounds that tie up
-    to rounding report the first of them.
+    n_branches counts the last outcomes still carrying weight (at most 2).
+    peak_top_fock is the largest top-two-level population of any propagated
+    mixture at any window node: a mixture's value is the weighted mean of
+    its branches', so it can be below their maximum, and it bounds the
+    truncation error of the states actually propagated.  peak_round is the
+    earliest 1-based round whose own peak is within 1e-12 (relative) of it.
     """
 
     pair_agreement: np.ndarray   # P(outcome j+1 == outcome j), length n_meas-1
@@ -328,10 +324,14 @@ def repeatability_experiment(liou: Liouvillian, rho0: DensityMatrix,
                              t_meas: float, n_meas: int) -> RepeatabilityStats:
     """Consecutive projective qubit measurements separated by free windows.
 
-    Each round evolves every branch for t_meas, then projects the qubit
-    onto its sigma_z basis (the energy basis in sigma_n mode), keeping both
-    outcomes as weighted branches.  Branch weights below 1e-12 are dropped.
-    Returns the probability that consecutive outcomes agree, per pair.
+    Each round evolves the state for t_meas, then projects the qubit onto
+    its sigma_z basis (the energy basis in sigma_n mode), keeping both
+    outcomes.  The statistics need only each branch's last outcome, and
+    evolution is linear, so branches sharing a last outcome are carried,
+    exactly, as one normalized mixture weighted by its trace: at most two
+    per round, 1 + 2(n_meas - 1) evolutions against the outcome tree's
+    2^n_meas - 1.  Pieces lighter than 1e-12 are dropped.  Returns the
+    probability that consecutive outcomes agree, per pair.
     """
     if t_meas <= 0.0:
         raise ValueError(f"t_meas must be > 0, got {t_meas}")
@@ -340,39 +340,39 @@ def repeatability_experiment(liou: Liouvillian, rho0: DensityMatrix,
 
     dim = liou.space.dim
     window = np.array([0.0, t_meas])
-    # (weight, state, last outcome); outcome +1 <-> qubit index 0
-    branches = [(1.0, rho0, 0)]
+    # last outcome -> (weight, normalized mixture); outcome +1 <-> qubit index 0
+    mixtures = {0: (1.0, rho0)}
     agree = np.zeros(n_meas - 1)
     total = np.zeros(n_meas - 1)
     round_peaks = [0.0] * n_meas
 
     for round_idx in range(n_meas):
-        next_branches = []
-        for weight, state, last in branches:
+        acc = {}  # outcome -> sum of weight * its projected block
+        for last, (weight, state) in mixtures.items():
             rec = evolve(liou, state, window)
             round_peaks[round_idx] = max(round_peaks[round_idx],
                                          float(rec.top_fock.max()))
             m = rec.states[-1].matrix
             for k in (0, 1):
-                lo = k * dim
-                block = m[lo:lo + dim, lo:lo + dim]
-                w_k = block.trace().real
-                w_new = weight * w_k
+                sl = slice(k * dim, (k + 1) * dim)
+                block = m[sl, sl]
+                w_new = weight * block.trace().real
                 if w_new < _BRANCH_PRUNE:
                     continue
                 if round_idx > 0:
                     total[round_idx - 1] += w_new
                     if k == last:
                         agree[round_idx - 1] += w_new
-                mat = np.zeros_like(m)
-                mat[lo:lo + dim, lo:lo + dim] = block / w_k
-                next_branches.append((w_new, DensityMatrix(liou.space, mat), k))
-        branches = next_branches
+                acc.setdefault(k, np.zeros_like(m))[sl, sl] += weight * block
+        mixtures = {}
+        for k, mat in acc.items():
+            w = mat.trace().real
+            mixtures[k] = (w, DensityMatrix(liou.space, mat / w))
 
     if np.any(total <= 0.0):
         raise NumericsError("all branches pruned; no surviving outcome weight")
     peak, peak_round = _earliest_peak(round_peaks)
     return RepeatabilityStats(pair_agreement=agree / total,
-                              n_branches=len(branches),
+                              n_branches=len(mixtures),
                               valid=peak <= liou.space.top_population_threshold,
                               peak_top_fock=peak, peak_round=peak_round)

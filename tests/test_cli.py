@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qndsim import analytic, backaction
+from qndsim import analytic, backaction, cli
 from qndsim.cli import (
     ConfigError,
     RunConfig,
@@ -449,3 +449,19 @@ def test_main_thread_count_does_not_change_bytes(tmp_path):
     assert main(["fig3", "-o", str(out3), "--threads", "3"]) == 0
     assert out1.read_bytes() == out3.read_bytes()
 
+
+
+def test_main_threads_and_output_flags_go_through_parse_config(tmp_path, monkeypatch):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert main(["fig3", "--threads", "0"]) == 2
+    assert "error: threads must be >= 1, got 0" in err.getvalue()
+    # both flags reach the config and win over --set
+    seen = []
+    monkeypatch.setattr(cli, "run_fig3",
+                        lambda cfg: seen.append(cfg) or SweepResult(("x",), []))
+    out = tmp_path / "f.csv"
+    assert main(["fig3", "--set", "threads=1", "--set", "output=other.csv",
+                 "--threads", "3", "-o", str(out)]) == 0
+    assert (seen[0].threads, seen[0].output) == (3, str(out))
+    assert out.read_text() == "x\n"

@@ -33,7 +33,8 @@ from qndsim.core import (
     qubit_operator,
     tensor,
 )
-from qndsim.backaction import eigenbasis, rates
+from qndsim import lindblad
+from qndsim.backaction import eigenbasis, evolve_reduced, rates
 from qndsim.lindblad import (
     Liouvillian,
     _earliest_peak,
@@ -570,3 +571,108 @@ def test_repeatability_reports_peak_top_fock_and_round():
     assert not stats.valid
     assert stats.peak_top_fock > max(first, small.top_population_threshold)
     assert stats.peak_round > 1
+
+
+# criterion 6's sigma_n point with intrinsic decay, so that every branch of
+# the outcome tree keeps weight
+P_FLIP = SystemParams(epsilon=1.0, delta=0.1, g=0.02, kappa=0.1, gamma1=0.01,
+                      f=0.3, delta_omega=math.sqrt(1.01), s_ii=20.0)
+
+
+def _ground_vacuum(space):
+    return DensityMatrix(space, tensor(np.diag([1.0, 0.0]).astype(complex),
+                                       fock_vacuum(space)))
+
+
+def _outcome_tree(liou, rho0, t_meas, n_meas):
+    """The explicit outcome tree with no pruning, one evolution per branch.
+
+    Returns the pair agreements and, per round, one (weight, last outcome,
+    top_fock at each window node) triple per branch.
+    """
+    dim = liou.space.dim
+    branches = [(1.0, rho0, 0)]
+    agree = np.zeros(n_meas - 1)
+    total = np.zeros(n_meas - 1)
+    rounds = []
+    for r in range(n_meas):
+        grown, tops = [], []
+        for weight, state, last in branches:
+            rec = evolve(liou, state, [0.0, t_meas])
+            tops.append((weight, last, rec.top_fock))
+            m = rec.states[-1].matrix
+            for k in (0, 1):
+                sl = slice(k * dim, (k + 1) * dim)
+                w_k = m[sl, sl].trace().real
+                if r > 0:
+                    total[r - 1] += weight * w_k
+                    agree[r - 1] += weight * w_k * (k == last)
+                mat = np.zeros_like(m)
+                mat[sl, sl] = m[sl, sl] / w_k
+                grown.append((weight * w_k, DensityMatrix(liou.space, mat), k))
+        branches = grown
+        rounds.append(tops)
+    return agree / total, rounds
+
+
+@pytest.mark.parametrize("n_meas", [3, 4])
+def test_merged_mixtures_match_the_unpruned_outcome_tree(n_meas):
+    space = FockSpace(8)
+    liou = build_liouvillian(P_FLIP, space, coupling_mode="sigma_n")
+    rho0 = _ground_vacuum(space)
+    stats = repeatability_experiment(liou, rho0, t_meas=40.0, n_meas=n_meas)
+    agreement, rounds = _outcome_tree(liou, rho0, 40.0, n_meas)
+    assert len(rounds[-1]) == 2 ** (n_meas - 1)
+    np.testing.assert_allclose(stats.pair_agreement, agreement, rtol=0, atol=1e-13)
+    assert stats.n_branches == 2
+    # a mixture's top population is its members' weighted mean at each node
+    mixed = [max((sum(w * top for w, j, top in tops if j == last)
+                  / sum(w for w, j, _ in tops if j == last)).max()
+                 for last in {j for _, j, _ in tops})
+             for tops in rounds]
+    assert stats.peak_top_fock == pytest.approx(max(mixed), rel=1e-12)
+    assert stats.peak_round == _earliest_peak(mixed)[1]
+    per_branch = max(top.max() for tops in rounds for _, _, top in tops)
+    assert stats.peak_top_fock <= per_branch
+
+
+def test_repeatability_evolves_each_last_outcome_once_per_round(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return evolve(*args)
+
+    monkeypatch.setattr(lindblad, "evolve", counted)
+    space = FockSpace(12)
+    liou = build_liouvillian(P_FLIP, space, coupling_mode="sigma_n")
+    stats = repeatability_experiment(liou, _ground_vacuum(space), t_meas=40.0,
+                                     n_meas=6)
+    assert len(calls) == 1 + 2 * (6 - 1)
+    assert stats.n_branches == 2
+    assert stats.valid
+
+
+# two calls of each builder give equal but separately built instances
+_ARRAY_DATACLASSES = {
+    "DensityMatrix": lambda: _ground_vacuum(FockSpace(3)),
+    "Liouvillian": lambda: build_liouvillian(P_FLIP, FockSpace(3), "sigma_n"),
+    "EvolutionRecord": lambda: evolve(build_liouvillian(P_ME, FockSpace(3)),
+                                      _ground_vacuum(FockSpace(3)), [0.0, 1.0]),
+    "RepeatabilityStats": lambda: repeatability_experiment(
+        build_liouvillian(P_ME, FockSpace(3)), _ground_vacuum(FockSpace(3)),
+        t_meas=1.0, n_meas=3),
+    "QubitEigenbasis": lambda: eigenbasis(1.0, 0.1),
+    "ReducedRecord": lambda: evolve_reduced(
+        P_FLIP, eigenbasis(1.0, 0.1), np.diag([1.0, 0.0]).astype(complex),
+        [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("kind", list(_ARRAY_DATACLASSES))
+def test_array_dataclasses_compare_by_identity(kind):
+    a, b = _ARRAY_DATACLASSES[kind](), _ARRAY_DATACLASSES[kind]()
+    assert type(a).__name__ == kind
+    assert (a == b) is False
+    assert (a == a) is True
+    assert isinstance(hash(a), int)

@@ -25,6 +25,7 @@ __all__ = [
     "alpha_of_t",
     "steady_amplitudes",
     "signal_amplitude",
+    "optimal_detuning",
     "signal_separation",
     "conditional_signal_pdf",
     "outcome_probability",
@@ -123,6 +124,19 @@ def signal_amplitude(params: SystemParams) -> complex:
     phi0 = pointer_state(params, +1).phase
     phi1 = pointer_state(params, -1).phase
     return params.f * (np.exp(2j * phi0) - np.exp(2j * phi1)) / math.sqrt(2.0)
+
+
+def optimal_detuning(params: SystemParams) -> float:
+    """The detuning delta_omega* >= 0 at which |signal_amplitude| and gamma_m
+    both peak: sqrt(g^2 - kappa^2/4) for |g| > kappa/2, else 0.
+
+    For |g| > kappa/2 the peaks sit at +-delta_omega*, where the pointer
+    phases differ by pi/2, |A| = sqrt(2) f and gamma_m = 2 f^2/kappa
+    whatever g; below, the single peak is at zero detuning.  delta_omega*
+    tends to g as kappa -> 0: the rate is largest where the detuning
+    equals the coupling strength.
+    """
+    return math.sqrt(max(params.g ** 2 - params.kappa ** 2 / 4.0, 0.0))
 
 
 def signal_separation(params: SystemParams, t: float) -> float:

@@ -206,17 +206,13 @@ def parse_config(text: str, mode: Optional[str] = None,
     return cfg
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def emit_csv(result: SweepResult, path: Optional[str] = None) -> str:
     """Serialize with LF endings and shortest round-trip floats.
 
     Returns the text; writes it to path when given.
     """
     lines = [",".join(result.columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in result.rows)
+    lines.extend(",".join(map(repr, map(float, row))) for row in result.rows)
     text = "\n".join(lines) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

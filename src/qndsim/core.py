@@ -2,7 +2,9 @@
 
 integrate is fixed-step RK4 for a time-dependent right-hand side;
 expm_action propagates a constant linear operator exactly (to double
-precision) through its truncated Taylor series.
+precision) through its truncated Taylor series, planned once over the
+whole time span, with every reporting node evaluated from the terms of
+the step that contains it.
 
 Conventions used across the package: hbar = 1 and every frequency, rate
 and coupling is an angular frequency in 1/ns (figure-caption values quoted
@@ -14,6 +16,7 @@ slowest-varying: joint index = qubit_index * dim + fock_index.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -338,16 +341,23 @@ def expm_action(apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
     writes A y into the preallocated complex array out (same shape as y,
     never overlapping it) and returns out.
 
-    norm bounds the 1-norm of A acting on y flattened.  Each grid interval
-    takes s substeps of the Taylor series of degree m <= 55, with (m, s)
-    from the Al-Mohy-Higham theta_m table; a substep stops early once two
-    consecutive terms fall below 2^-53/sqrt(2) times the partial sum, in
-    the max-abs norm over real and imaginary parts (never earlier than the
-    same test at 2^-53 in the complex max-abs norm).  The Taylor terms
-    alternate between two buffers and the sum accumulates in place, so no
-    state-sized array is allocated per term; each returned node is a fresh
-    copy and y0 is left untouched.  Raises NumericsError on non-finite
-    values, identifying the time at which they appeared.
+    norm bounds the 1-norm of A acting on y flattened.  One plan covers
+    the whole span t_grid[-1]: s equal steps of length h of the Taylor
+    series of degree m <= 55, with (m, s) from the Al-Mohy-Higham theta_m
+    table, step i starting at i*h.  Each step builds its terms T_j once
+    and gives every node inside it as the same series at its offset,
+    sum_j r^j T_j with r = (t_node - i*h)/h (dense output), so the number
+    of apply calls does not depend on how many nodes the grid has; a node
+    exactly on a step end is that step's partial sum.  A step stops early
+    once two consecutive terms fall below 2^-53/sqrt(2) times the partial
+    sum, at the step end and, with their weights r^j, at every node inside
+    it, in the max-abs norm over real and imaginary parts (never earlier
+    than the same test at 2^-53 in the complex max-abs norm).  The terms
+    alternate between two buffers, each weighted term is formed in the one
+    apply has just read, and the sums accumulate in place, so no
+    state-sized array is allocated per term; each returned node is its own
+    array and y0 is left untouched.  Raises NumericsError on non-finite
+    values, identifying the step end at which they appeared.
     """
     t = _check_grid(t_grid)
     if not (norm >= 0.0 and math.isfinite(norm)):
@@ -356,21 +366,40 @@ def expm_action(apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
     y = np.array(y0, dtype=complex)
     bufs = (np.empty_like(y), np.empty_like(y))
     out = [y.copy()]
-    for t0, t1 in zip(t[:-1], t[1:]):
-        m, n_sub = _taylor_plan(norm * (t1 - t0))
-        h = (t1 - t0) / n_sub
-        for i in range(n_sub):
-            term = y
-            c1 = _inf_norm(term)
-            for j in range(1, m + 1):
-                term = apply(term, bufs[j & 1])
-                term *= h / j
-                c2 = _inf_norm(term)
-                y += term
-                if c1 + c2 <= _STOP_TOL * _inf_norm(y):
-                    break
-                c1 = c2
-            if not np.all(np.isfinite(y.view(float))):
-                raise NumericsError(f"non-finite state at t = {t0 + (i + 1) * h:.6g}")
-        out.append(y.copy())
+    if t.size == 1:
+        return out
+    t = t.tolist()    # Python floats: bisect and scalar arithmetic stay cheap
+    m, n_steps = _taylor_plan(norm * t[-1])
+    h = t[-1] / n_steps
+    k = 1    # the next node to fill
+    for i in range(n_steps):
+        t_b = t[-1] if i == n_steps - 1 else (i + 1) * h
+        k_end = bisect.bisect_left(t, t_b, k)
+        r = [(tk - i * h) / h for tk in t[k:k_end]]
+        nodes = [y.copy() for _ in r]
+        w = w_prev = [1.0] * len(r)    # r^j and r^(j-1) per node
+        term = y
+        c1 = _inf_norm(term)
+        for j in range(1, m + 1):
+            term = apply(term, bufs[j & 1])
+            term *= h / j
+            c2 = _inf_norm(term)
+            y += term
+            if r:
+                spent = bufs[(j + 1) & 1]
+                w_prev, w = w, [wk * rk for wk, rk in zip(w, r)]
+                for z, wk in zip(nodes, w):
+                    z += np.multiply(term, wk, out=spent)
+            if c1 + c2 <= _STOP_TOL * _inf_norm(y) and all(
+                    wp * c1 + wk * c2 <= _STOP_TOL * _inf_norm(z)
+                    for z, wp, wk in zip(nodes, w_prev, w)):
+                break
+            c1 = c2
+        if not np.all(np.isfinite(y.view(float))):
+            raise NumericsError(f"non-finite state at t = {(i + 1) * h:.6g}")
+        out.extend(nodes)
+        if t[k_end] == t_b:
+            out.append(y.copy())
+            k_end += 1
+        k = k_end
     return out

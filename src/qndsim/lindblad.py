@@ -9,10 +9,12 @@ sigma_z = +1 sector sees delta_omega - g (matching the pointer-state
 formulas in `analytic`).
 
 The generator does not depend on time in this frame, so evolve propagates
-it exactly: core.expm_action applies the truncated Taylor series of
-exp(L dt) through Liouvillian.apply alone, never forming the
-(2 dim)^2 x (2 dim)^2 superoperator.  The RK4 integrator in core remains
-only for the time-dependent reduced kernel in `backaction`.
+it exactly: core.expm_action takes Taylor steps of exp(L h) over the whole
+grid through Liouvillian.apply alone, never forming the
+(2 dim)^2 x (2 dim)^2 superoperator, and reads each grid node off the
+terms of the step that contains it, so a finer reporting grid costs no
+more apply calls.  The RK4 integrator in core remains only for the
+time-dependent reduced kernel in `backaction`.
 """
 
 from __future__ import annotations
@@ -219,6 +221,10 @@ def _ladder_diagonal(space: FockSpace) -> np.ndarray:
 def evolve(liou: Liouvillian, rho0: DensityMatrix,
            t_grid: Sequence[float]) -> EvolutionRecord:
     """Propagate the master equation exactly over t_grid (must start at 0).
+
+    The number of Liouvillian.apply calls depends on the span t_grid[-1]
+    and the generator's norm_bound, not on how many nodes t_grid has (see
+    core.expm_action).
 
     rho0 is first projected onto its Hermitian part (m + m+)/2, which is
     rho0 itself bit for bit when it is exactly Hermitian and otherwise

@@ -21,6 +21,7 @@ from qndsim.analytic import (
     conditional_signal_pdf,
     gamma_m,
     gamma_m_from_amplitudes,
+    optimal_detuning,
     outcome_probability,
     overlap_decay,
     pointer_state,
@@ -157,6 +158,70 @@ def test_signal_amplitude_peaks_at_quadrature_detuning():
     for dw in (dstar - 1e-3, dstar + 1e-3):
         p = SystemParams(f=1.0, kappa=0.1, g=0.3, delta_omega=dw, s_ii=20.0)
         assert abs(signal_amplitude(p)) < math.sqrt(2.0)
+
+
+def _peak_scan(kappa, g, f, dstar):
+    # |A| and gamma_m on a detuning scan with 400 steps out to
+    # dstar + 2 |g| on each side, plus dstar itself and its neighbours
+    # 1e-3 away
+    half = dstar + 2.0 * abs(g) + kappa
+    dws = np.concatenate((np.linspace(-half, half, 401),
+                          [dstar, dstar - 1e-3, dstar + 1e-3]))
+    ps = [SystemParams(g=g, kappa=kappa, f=f, delta_omega=dw, s_ii=1.0)
+          for dw in dws]
+    return (dws, np.array([abs(signal_amplitude(p)) for p in ps]),
+            np.array([gamma_m(p) for p in ps]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(kappa=st.floats(0.01, 1.0), ratio=st.floats(1.05, 20.0),
+       f=st.floats(0.05, 2.0), sign=st.sampled_from([1.0, -1.0]))
+def test_readout_peaks_at_optimal_detuning_above_half_linewidth(kappa, ratio, f,
+                                                                sign):
+    # g > kappa/2: at delta_omega* = sqrt(g^2 - kappa^2/4) the pointer
+    # phases differ by pi/2, so |A| = sqrt(2) f and gamma_m = 2 f^2/kappa
+    # whatever g, and both are the global maxima over the detuning
+    g = sign * ratio * kappa / 2.0
+    dstar = optimal_detuning(SystemParams(g=g, kappa=kappa, f=f, s_ii=1.0))
+    assert dstar == pytest.approx(math.sqrt(g ** 2 - kappa ** 2 / 4.0), rel=1e-15)
+    dws, amp, rate = _peak_scan(kappa, g, f, dstar)
+    assert amp[-3] == pytest.approx(math.sqrt(2.0) * f, rel=1e-12)
+    assert rate[-3] == pytest.approx(2.0 * f ** 2 / kappa, rel=1e-12)
+    step = dws[1] - dws[0]
+    for y in (amp, rate):
+        assert np.all(y <= y[-3] * (1.0 + 1e-12))
+        assert y[-2] < y[-3] and y[-1] < y[-3]
+        # the scan's best node on the positive side is next to dstar
+        pos = dws[:-3] >= 0.0
+        best = dws[:-3][pos][np.argmax(y[:-3][pos])]
+        assert abs(best - dstar) <= step
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(kappa=st.floats(0.01, 1.0), ratio=st.floats(0.1, 0.9),
+       f=st.floats(0.05, 2.0))
+def test_readout_single_peak_at_zero_detuning_below_half_linewidth(kappa, ratio,
+                                                                   f):
+    # g <= kappa/2: one maximum, at delta_omega = 0, for both |A| and gamma_m
+    g = ratio * kappa / 2.0
+    assert optimal_detuning(SystemParams(g=g, kappa=kappa, f=f, s_ii=1.0)) == 0.0
+    dws, amp, rate = _peak_scan(kappa, g, f, 0.0)
+    for y in (amp[:-3], rate[:-3]):
+        mid = int(np.argmax(y))
+        assert dws[mid] == pytest.approx(0.0, abs=1e-15)
+        assert np.all(np.diff(y[:mid + 1]) > 0.0)
+        assert np.all(np.diff(y[mid:]) < 0.0)
+
+
+@pytest.mark.parametrize("kappa, g, f, rate", [(0.1, 0.3, 1.0, 20.0),
+                                                (0.4, 0.3, 0.7, 2.45)])
+def test_peak_dephasing_rate_is_independent_of_coupling(kappa, g, f, rate):
+    p = SystemParams(g=g, kappa=kappa, f=f, s_ii=1.0,
+                     delta_omega=optimal_detuning(
+                         SystemParams(g=g, kappa=kappa, s_ii=1.0)))
+    assert gamma_m(p) == pytest.approx(rate, rel=1e-14)
+    assert abs(signal_amplitude(p)) / (math.sqrt(2.0) * f) == pytest.approx(
+        1.0, rel=1e-15)
 
 
 def test_signal_separation_linear_in_time():

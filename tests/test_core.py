@@ -324,8 +324,29 @@ def test_expm_action_nodes_are_fresh_arrays():
                                    rtol=1e-13, atol=1e-14)
 
 
-def _terms_per_substep(a, y0, grid, norm):
-    # apply calls per Taylor substep: each substep's first call takes the
+def test_expm_action_step_ends_do_not_depend_on_interior_nodes():
+    # the step-end partial sums are the same bits whether or not nodes are
+    # reported inside the steps, and a node exactly on a step end is that
+    # partial sum
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    y0 = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    norm = np.linalg.norm(a, 1)
+    span = 30.0 / norm
+    h = span / core._taylor_plan(30.0)[1]
+    apply = lambda y, out: np.matmul(a, y, out=out)
+    bare = expm_action(apply, y0, [0.0, span], norm)
+    on_end = expm_action(apply, y0, [0.0, h, span], norm)
+    dense = expm_action(apply, y0, np.concatenate((
+        np.linspace(0.0, 0.9 * h, 7), [np.nextafter(h, 0.0), h,
+                                        np.nextafter(h, np.inf), 2.5 * h, span])), norm)
+    np.testing.assert_array_equal(on_end[-1], bare[-1])
+    np.testing.assert_array_equal(dense[-1], bare[-1])
+    np.testing.assert_array_equal(dense[8], on_end[1])
+
+
+def _terms_per_step(a, y0, grid, norm):
+    # apply calls per Taylor step: each step's first call takes the
     # partial-sum array itself, every later one a term buffer
     ids = []
 
@@ -341,17 +362,18 @@ def _terms_per_substep(a, y0, grid, norm):
 def test_expm_action_stops_no_earlier_than_the_complex_norm_rule(monkeypatch):
     # the stopping test uses the max-abs over real and imaginary parts,
     # at least 1/sqrt(2) of the complex max-abs, at 2^-53/sqrt(2); so no
-    # substep may take fewer terms than the complex-norm test at 2^-53
-    # (on this generator, dropping the 1/sqrt(2) ends one substep early)
+    # step may take fewer terms than the complex-norm test at 2^-53
+    # (on this generator and span, dropping the 1/sqrt(2) ends the last
+    # of the three steps one term early)
     rng = np.random.default_rng(11)
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     y0 = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     norm = np.linalg.norm(a, 1)
-    grid = np.array([0.0, 0.1, 3.0, 20.0, 25.0]) / norm
-    ys, terms = _terms_per_substep(a, y0, grid, norm)
+    grid = np.array([0.0, 0.1, 3.0, 20.0, 26.0]) / norm
+    ys, terms = _terms_per_step(a, y0, grid, norm)
     monkeypatch.setattr(core, "_inf_norm", lambda y: float(np.abs(y).max()))
     monkeypatch.setattr(core, "_STOP_TOL", core._TAYLOR_TOL)
-    ys_ref, terms_ref = _terms_per_substep(a, y0, grid, norm)
+    ys_ref, terms_ref = _terms_per_step(a, y0, grid, norm)
     assert len(terms) == len(terms_ref)
     assert np.all(terms >= terms_ref)
     for y, y_ref in zip(ys, ys_ref):

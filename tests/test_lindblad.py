@@ -33,7 +33,7 @@ from qndsim.core import (
     qubit_operator,
     tensor,
 )
-from qndsim import lindblad
+from qndsim import core, lindblad
 from qndsim.backaction import eigenbasis, evolve_reduced, rates
 from qndsim.lindblad import (
     Liouvillian,
@@ -252,6 +252,71 @@ def test_expm_action_matches_dense_exponential(log_x, seed, fock_dim, mode,
     for t, m in zip(grid, got):
         ref = scipy.linalg.expm(sup * t) @ rho0.ravel()
         assert np.max(np.abs(m.ravel() - ref)) <= 1e-10
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       **{**_GENERATOR_DRAW, "mode": st.just("sigma_n")})
+def test_expm_action_dense_output_matches_dense_exponential(seed, fock_dim, mode,
+                                                            **phys):
+    # one plan over the span (norm * span = 20: 3 steps of length h); an
+    # irregular grid with 12 nodes inside the first step, one exactly on
+    # its end and one ulp either side, and a final interval of 0.3 h
+    liou = _draw_liouvillian(fock_dim, mode, **phys)
+    span = 20.0 / liou.norm_bound
+    h = span / core._taylor_plan(20.0)[1]
+    rng = np.random.default_rng(seed)
+    grid = np.concatenate((
+        [0.0], np.sort(rng.uniform(0.0, 0.999, 12)) * h,
+        [np.nextafter(h, 0.0), h, np.nextafter(h, np.inf)],
+        h + np.sort(rng.uniform(0.0, 1.0, 3)) * (span - 1.3 * h),
+        [span - 0.3 * h, span]))
+    assert np.all(np.diff(grid) > 0.0)
+    rho0 = _random_state(2 * fock_dim, seed)
+    got = expm_action(liou.apply, rho0, grid, liou.norm_bound)
+    assert len(got) == len(grid)
+    sup = _superoperator(liou)
+    for t, m in zip(grid, got):
+        ref = scipy.linalg.expm(sup * t) @ rho0.ravel()
+        assert np.max(np.abs(m.ravel() - ref)) <= 1e-13 * np.abs(ref).max()
+
+
+def test_expm_action_accurate_over_a_phase_accumulating_run():
+    # sigma_z mode at epsilon = 10, like the README run: ~400 rad of qubit
+    # phase over [0, 40], with 81 nodes evaluated inside 45 Taylor steps
+    p = SystemParams(epsilon=10.0, g=0.3, kappa=0.1, f=0.05, delta_omega=0.3,
+                     s_ii=1.0)
+    liou = build_liouvillian(p, FockSpace(6))
+    rho0 = plus_vacuum(liou.space).matrix
+    grid = np.arange(81) * 0.5
+    got = expm_action(liou.apply, rho0, grid, liou.norm_bound)
+    sup = _superoperator(liou)
+    for t, m in zip(grid, got):
+        ref = scipy.linalg.expm(sup * t) @ rho0.ravel()
+        assert np.max(np.abs(m.ravel() - ref)) <= 1e-12
+
+
+def test_evolve_apply_calls_do_not_depend_on_the_grid(monkeypatch):
+    # the benchmark's sigma_n run with intrinsic decay (mid-range draws)
+    # over [0, 20]: the same Taylor steps serve 2, 41 or 401 nodes
+    calls = []
+    apply = Liouvillian.apply
+
+    def counted(self, rho, out=None):
+        calls.append(None)
+        return apply(self, rho, out)
+
+    monkeypatch.setattr(Liouvillian, "apply", counted)
+    p = SystemParams(epsilon=1.0, delta=0.1, g=0.02, kappa=0.1, f=0.3,
+                     delta_omega=0.92, gamma1=0.05, gamma2=0.02, s_ii=20.0)
+    liou = build_liouvillian(p, FockSpace(12), coupling_mode="sigma_n")
+    counts = []
+    for n in (2, 41, 401):
+        calls.clear()
+        rec = evolve(liou, plus_vacuum(liou.space), np.linspace(0.0, 20.0, n))
+        assert len(rec.states) == n
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2]
 
 
 @_PROPERTY

@@ -72,8 +72,9 @@ class SweepSpec:
 class RunConfig:
     """One validated run: physical parameters plus artifact plumbing.
 
-    s_ii = None means 2/kappa of the configured kappa (resolved_s_ii); a
-    swept kappa keeps that value, and run_fig3 sets 2/kappa per linewidth.
+    s_ii = None means 2/kappa of the kappa in use, resolved by
+    system_params after its replacements, so a swept kappa gets its own
+    floor; run_fig3 always sets 2/kappa per linewidth.
     """
 
     epsilon: float = 10.0
@@ -95,12 +96,14 @@ class RunConfig:
 
     @property
     def resolved_s_ii(self) -> float:
-        return 2.0 / self.kappa if self.s_ii is None else self.s_ii
+        return self.system_params().s_ii
 
     def system_params(self, **replacements) -> SystemParams:
         kw = {k: getattr(self, k) for k in _PARAM_KEYS}
-        kw["s_ii"] = self.resolved_s_ii
         kw.update(replacements)
+        # kappa <= 0 is left for SystemParams to reject
+        if kw["s_ii"] is None and kw["kappa"] > 0.0:
+            kw["s_ii"] = 2.0 / kw["kappa"]
         return SystemParams(**kw)
 
 
@@ -310,12 +313,6 @@ def _time_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(0.0, n * cfg.t_step, n + 1)
 
 
-def _build_liouvillian(cfg: RunConfig) -> lindblad.Liouvillian:
-    mode = "sigma_n" if cfg.delta > 0.0 else "sigma_z"
-    return lindblad.build_liouvillian(cfg.system_params(), FockSpace(cfg.fock_dim),
-                                      coupling_mode=mode)
-
-
 def run_lindblad(cfg: RunConfig):
     """Master-equation run from (|0> + |1>)/sqrt(2) times vacuum.
 
@@ -323,7 +320,7 @@ def run_lindblad(cfg: RunConfig):
     Fock levels stayed under the threshold at every node, else a message
     with their peak population, its time and the first time it was exceeded.
     """
-    liou = _build_liouvillian(cfg)
+    liou = lindblad.build_liouvillian(cfg.system_params(), FockSpace(cfg.fock_dim))
     plus = 0.5 * np.ones((2, 2), dtype=complex)
     rho0 = DensityMatrix.from_product(liou.space, plus, fock_vacuum(liou.space))
     rec = lindblad.evolve(liou, rho0, _time_grid(cfg))
@@ -349,7 +346,7 @@ def run_repeat(cfg: RunConfig):
     Returns (SweepResult, truncation) like run_lindblad; the message names
     the measurement round of the peak top-two-level population.
     """
-    liou = _build_liouvillian(cfg)
+    liou = lindblad.build_liouvillian(cfg.system_params(), FockSpace(cfg.fock_dim))
     ground = np.zeros((2, 2), dtype=complex)
     ground[0, 0] = 1.0
     rho0 = DensityMatrix.from_product(liou.space, ground, fock_vacuum(liou.space))

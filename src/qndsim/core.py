@@ -85,9 +85,11 @@ class SystemParams:
 
     @property
     def dispersive_valid(self) -> bool:
-        """Whether the bias dominates the tunneling term (delta < epsilon/10).
+        """Whether the sigma_z-only analytic layer approximates the delta > 0
+        (sigma_n) master equation: the bias dominates the tunneling term,
+        delta < epsilon/10.
 
-        delta == 0 keeps the coupling exactly diagonal, so it is always valid.
+        delta == 0 is exactly the sigma_z model, so it is always valid.
         """
         return self.delta == 0.0 or self.delta < self.epsilon / 10.0
 
@@ -101,13 +103,13 @@ class FockSpace:
     """Truncated resonator Hilbert space holding photon numbers 0..dim-1."""
 
     dim: int
-    top_population_threshold: float = 1e-6
+    # a class constant, not a field: the top-two-level population above
+    # which a run's truncation is untrusted
+    top_population_threshold = 1e-6
 
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise ValueError(f"Fock dimension must be >= 2, got {self.dim}")
-        if not self.top_population_threshold > 0.0:
-            raise ValueError("top_population_threshold must be > 0")
 
 
 # Construction-time admissibility tolerances for density matrices.

@@ -73,7 +73,6 @@ class Liouvillian:
 
     params: SystemParams
     space: FockSpace
-    coupling_mode: str
     hamiltonian: np.ndarray
     dissipators: tuple = field(default_factory=tuple)
     h_eff: np.ndarray = field(init=False, repr=False)
@@ -162,34 +161,28 @@ class RepeatabilityStats:
         return float(self.pair_agreement.mean())
 
 
-def build_liouvillian(params: SystemParams, space: FockSpace,
-                      coupling_mode: str = "sigma_z") -> Liouvillian:
-    """Assemble the generator in the drive frame.
+def build_liouvillian(params: SystemParams, space: FockSpace) -> Liouvillian:
+    """Assemble the generator in the drive frame; delta picks the coupling.
 
-    sigma_z mode: qubit term (epsilon/2) sigma_z, coupling operator sigma_z,
-    delta ignored (dispersive approximation).  sigma_n mode: qubit term
-    (E/2) sigma_z with E = sqrt(epsilon^2 + delta^2) in the energy
-    eigenbasis, coupling sigma_n = cos(eta) sigma_z + sin(eta) sigma_x with
-    eta = atan2(delta, epsilon); this keeps the QND-violating off-diagonal
+    delta == 0: qubit term (epsilon/2) sigma_z and coupling sigma_z, the
+    dispersive QND model.  delta > 0: qubit term (E/2) sigma_z with
+    E = sqrt(epsilon^2 + delta^2) in the energy eigenbasis, and coupling
+    sigma_n = cos(eta) sigma_z + sin(eta) sigma_x with
+    eta = atan2(delta, epsilon), which keeps the QND-violating off-diagonal
     piece.  Intrinsic qubit dissipators act in the same qubit basis as the
     Hamiltonian.  Each jump operator is given by its one nonzero diagonal:
     I (x) a at offset +1, sigma_- (x) I at -dim and sigma_z (x) I at 0.
     """
     sz = qubit_operator("sigma_z")
     ident = qubit_operator("identity")
-    if coupling_mode == "sigma_z":
+    if params.delta == 0.0:
         qubit_h = (params.epsilon / 2.0) * sz
         coupling = sz
-    elif coupling_mode == "sigma_n":
-        if params.epsilon == 0.0 and params.delta == 0.0:
-            raise ValueError("sigma_n mode undefined for epsilon = delta = 0")
+    else:
         eta = math.atan2(params.delta, params.epsilon)
         energy = math.hypot(params.epsilon, params.delta)
         qubit_h = (energy / 2.0) * sz
         coupling = math.cos(eta) * sz + math.sin(eta) * qubit_operator("sigma_x")
-    else:
-        raise ValueError(f"coupling_mode must be 'sigma_z' or 'sigma_n', "
-                         f"got {coupling_mode!r}")
 
     d = space.dim
     a = annihilation(space)
@@ -207,8 +200,8 @@ def build_liouvillian(params: SystemParams, space: FockSpace,
     if params.gamma2 > 0.0:
         dissipators.append((params.gamma2 / 2.0, 0, np.repeat([1.0 + 0j, -1.0], d)))
 
-    return Liouvillian(params=params, space=space, coupling_mode=coupling_mode,
-                       hamiltonian=h, dissipators=tuple(dissipators))
+    return Liouvillian(params=params, space=space, hamiltonian=h,
+                       dissipators=tuple(dissipators))
 
 
 def _ladder_diagonal(space: FockSpace) -> np.ndarray:
@@ -331,7 +324,7 @@ def repeatability_experiment(liou: Liouvillian, rho0: DensityMatrix,
     """Consecutive projective qubit measurements separated by free windows.
 
     Each round evolves the state for t_meas, then projects the qubit onto
-    its sigma_z basis (the energy basis in sigma_n mode), keeping both
+    its sigma_z basis (the energy basis when delta > 0), keeping both
     outcomes.  The statistics need only each branch's last outcome, and
     evolution is linear, so branches sharing a last outcome are carried,
     exactly, as one normalized mixture weighted by its trace: at most two

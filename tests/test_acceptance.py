@@ -299,7 +299,7 @@ def test_criterion_6_measurement_repeatability():
                        delta_omega=basis.splitting, s_ii=20.0)
     rs = rates(p_n, basis)
     flip_rate = rs.gamma_up + rs.gamma_down
-    liou_n = build_liouvillian(p_n, space, coupling_mode="sigma_n")
+    liou_n = build_liouvillian(p_n, space)
     disagree = []
     for t_meas in (400.0, 800.0):
         st = repeatability_experiment(liou_n, _sector_vacuum(space, 0),
@@ -326,7 +326,7 @@ def test_criterion_7_numerical_hygiene(tmp_path):
                        np.linspace(0.0, 20.0, 41)))
     p2 = SystemParams(epsilon=1.0, delta=0.1, g=0.02, kappa=0.1, f=0.3,
                       delta_omega=math.hypot(1.0, 0.1), s_ii=20.0)
-    runs.append(evolve(build_liouvillian(p2, space, coupling_mode="sigma_n"),
+    runs.append(evolve(build_liouvillian(p2, space),
                        _sector_vacuum(space, 0), np.linspace(0.0, 20.0, 41)))
     p3 = SystemParams(gamma1=0.02, gamma2=0.05, **P_BASE)
     runs.append(evolve(build_liouvillian(p3, space), _plus_vacuum(space),

@@ -87,6 +87,7 @@ def test_parse_config_sweep_block():
     ("fock_dim = 1\n", "lindblad", "fock_dim must be >= 2"),
     ("threads = 0\n", "fig3", "threads must be >= 1"),
     ("kappa = -1\n", "fig3", "kappa must be > 0"),
+    ("kappa = 0\n", "fig3", "kappa must be > 0"),
     ("g = nan\n", "fig3", "line 1: non-finite number for 'g'"),
     ("t_step = 0.01\nt_max = inf\n", "fig2", "line 2: non-finite number for 't_max'"),
 ])
@@ -299,6 +300,28 @@ def test_run_sweep_requires_sweep_and_valid_domain():
                        "sweep_stop = 0.5\nsweep_count = 3\n", mode="analytic")
     with pytest.raises(ConfigError, match="left the valid parameter domain"):
         run_sweep(bad)
+
+
+def test_swept_kappa_uses_its_own_noise_floor():
+    # s_ii unset is 2/kappa of the kappa in use, so a kappa sweep point
+    # equals the fig3 row at the same (kappa, delta_omega)
+    fig3 = run_fig3(parse_config("", mode="fig3"))
+    kappa, dw, p0, gm = next(r for r in fig3.rows
+                             if r[0] == 0.2 and abs(r[1] - 0.3) < 1e-9)
+    cfg = parse_config(f"delta_omega = {dw!r}\nsweep_param = kappa\n"
+                       "sweep_start = 0.2\nsweep_stop = 0.4\nsweep_count = 2\n",
+                       mode="analytic")
+    assert run_sweep(cfg).rows[0][:3] == (kappa, p0, gm)
+    assert p0 == pytest.approx(0.5555, abs=1e-4)
+
+
+def test_kappa_sweep_from_zero_exits_2():
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        assert main(["analytic", "--set", "sweep_param=kappa",
+                     "--set", "sweep_start=0", "--set", "sweep_stop=0.4",
+                     "--set", "sweep_count=5"]) == 2
+    assert "kappa must be > 0" in err.getvalue()
 
 
 def test_run_lindblad_quick():

@@ -67,8 +67,6 @@ def test_fock_space_validation():
     assert FockSpace(2).dim == 2
     with pytest.raises(ValueError, match="must be >= 2"):
         FockSpace(1)
-    with pytest.raises(ValueError):
-        FockSpace(8, top_population_threshold=0.0)
 
 
 # ---------------------------------------------------------------- operators

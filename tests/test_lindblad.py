@@ -10,6 +10,7 @@ backaction.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qndsim.analytic import alpha_of_t, gamma_m, pointer_state
+from qndsim.analytic import alpha_of_t, gamma_m, optimal_detuning, pointer_state
 from qndsim.core import (
     DensityMatrix,
     FockSpace,
@@ -85,7 +86,7 @@ def test_sigma_n_hamiltonian_blocks():
     space = FockSpace(5)
     p = SystemParams(epsilon=1.0, delta=0.1, g=0.02, kappa=0.1, f=0.3,
                      delta_omega=0.4, s_ii=1.0)
-    h = build_liouvillian(p, space, coupling_mode="sigma_n").hamiltonian
+    h = build_liouvillian(p, space).hamiltonian
     eta = math.atan2(p.delta, p.epsilon)
     energy = math.hypot(p.epsilon, p.delta)
     n_op = number_operator(space)
@@ -102,13 +103,26 @@ def test_sigma_n_hamiltonian_blocks():
                                atol=1e-14)
 
 
-def test_build_liouvillian_validation():
-    space = FockSpace(4)
-    with pytest.raises(ValueError, match="sigma_n mode undefined"):
-        build_liouvillian(SystemParams(epsilon=0.0, delta=0.0, s_ii=1.0),
-                          space, coupling_mode="sigma_n")
-    with pytest.raises(ValueError, match="coupling_mode must be"):
-        build_liouvillian(P_ME, space, coupling_mode="dispersive")
+@pytest.mark.parametrize("epsilon", [-2.0, 0.0, 10.0])
+def test_coupling_follows_delta(epsilon):
+    # delta == 0 is (epsilon/2) sigma_z with sigma_z coupling, built here by
+    # hand (epsilon = delta = 0 included); any delta > 0 couples the qubit
+    # blocks through -g sin(eta) n, so that block is exactly zero iff
+    # delta == 0
+    d = 5
+    space = FockSpace(d)
+    p = SystemParams(epsilon=epsilon, g=0.3, kappa=0.1, gamma1=0.02,
+                     gamma2=0.05, f=0.7, delta_omega=0.5, s_ii=1.0)
+    sz = qubit_operator("sigma_z")
+    ident = qubit_operator("identity")
+    a = annihilation(space)
+    h = (tensor((epsilon / 2.0) * sz, np.eye(d))
+         + tensor(p.delta_omega * ident - p.g * sz, number_operator(space))
+         + tensor(ident, p.f * (a + a.conj().T)))
+    np.testing.assert_array_equal(build_liouvillian(p, space).hamiltonian, h)
+    for delta in (0.0, 1e-300, 0.05, 0.5):
+        h = build_liouvillian(replace(p, delta=delta), space).hamiltonian
+        assert (not np.any(h[:d, d:])) == (delta == 0.0), delta
 
 
 def test_dissipators_only_for_nonzero_rates():
@@ -122,13 +136,12 @@ def test_dissipators_only_for_nonzero_rates():
     assert [c for c, _, _ in liou2.dissipators] == [0.1, 0.02, 0.025]
 
 
-# random generators for the property tests: both coupling modes, all
-# three dissipators on, fock_dim 6..8
+# random generators for the property tests: both couplings (sigma_z at
+# delta = 0, sigma_n above), all three dissipators on, fock_dim 6..8
 _GENERATOR_DRAW = dict(
     fock_dim=st.integers(6, 8),
-    mode=st.sampled_from(["sigma_z", "sigma_n"]),
     epsilon=st.floats(0.5, 10.0),
-    delta=st.floats(0.05, 0.5),
+    delta=st.one_of(st.just(0.0), st.floats(0.05, 0.5)),
     g=st.floats(0.0, 0.3),
     kappa=st.floats(0.05, 1.0),
     gamma1=st.floats(0.001, 0.1),
@@ -139,9 +152,8 @@ _GENERATOR_DRAW = dict(
 _PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
 
-def _draw_liouvillian(fock_dim, mode, **phys):
-    return build_liouvillian(SystemParams(s_ii=1.0, **phys), FockSpace(fock_dim),
-                             coupling_mode=mode)
+def _draw_liouvillian(fock_dim, **phys):
+    return build_liouvillian(SystemParams(s_ii=1.0, **phys), FockSpace(fock_dim))
 
 
 def _superoperator(liou):
@@ -170,8 +182,8 @@ def _random_state(n, seed):
 
 @_PROPERTY
 @given(seed=st.integers(0, 2 ** 32 - 1), **_GENERATOR_DRAW)
-def test_apply_matches_commutator_form(seed, fock_dim, mode, **phys):
-    liou = _draw_liouvillian(fock_dim, mode, **phys)
+def test_apply_matches_commutator_form(seed, fock_dim, **phys):
+    liou = _draw_liouvillian(fock_dim, **phys)
     rng = np.random.default_rng(seed)
     n = 2 * fock_dim
     rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -191,8 +203,8 @@ def test_apply_matches_commutator_form(seed, fock_dim, mode, **phys):
 
 @_PROPERTY
 @given(seed=st.integers(0, 2 ** 32 - 1), **_GENERATOR_DRAW)
-def test_apply_into_buffer_matches_fresh_result(seed, fock_dim, mode, **phys):
-    liou = _draw_liouvillian(fock_dim, mode, **phys)
+def test_apply_into_buffer_matches_fresh_result(seed, fock_dim, **phys):
+    liou = _draw_liouvillian(fock_dim, **phys)
     assert len(liou.dissipators) == 3
     rho = _random_state(2 * fock_dim, seed)
     buf = np.full_like(rho, np.nan)   # stale contents must be overwritten
@@ -225,25 +237,24 @@ def test_liouvillian_rejects_diagonal_that_does_not_fit_its_offset():
     for o, v in ((1, np.ones(n)), (-space.dim, np.ones(n)),
                  (0, np.ones(n - 1)), (n, np.ones(0))):
         with pytest.raises(ValueError, match="must have length"):
-            Liouvillian(params=P_ME, space=space, coupling_mode="sigma_z",
-                        hamiltonian=base.hamiltonian,
+            Liouvillian(params=P_ME, space=space, hamiltonian=base.hamiltonian,
                         dissipators=((0.1, o, v.astype(complex)),))
 
 
 @_PROPERTY
 @given(**_GENERATOR_DRAW)
-def test_norm_bound_dominates_superoperator_norm(fock_dim, mode, **phys):
-    liou = _draw_liouvillian(fock_dim, mode, **phys)
+def test_norm_bound_dominates_superoperator_norm(fock_dim, **phys):
+    liou = _draw_liouvillian(fock_dim, **phys)
     assert liou.norm_bound >= np.linalg.norm(_superoperator(liou), 1)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(log_x=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1),
        **_GENERATOR_DRAW)
-def test_expm_action_matches_dense_exponential(log_x, seed, fock_dim, mode,
+def test_expm_action_matches_dense_exponential(log_x, seed, fock_dim,
                                                **phys):
     # norm * dt from 1e-3 to 1e3 on the last interval of an irregular grid
-    liou = _draw_liouvillian(fock_dim, mode, **phys)
+    liou = _draw_liouvillian(fock_dim, **phys)
     span = 10.0 ** log_x / liou.norm_bound
     grid = np.array([0.0, 0.013, 0.31, 0.31 + span])
     rho0 = _random_state(2 * fock_dim, seed)
@@ -256,13 +267,13 @@ def test_expm_action_matches_dense_exponential(log_x, seed, fock_dim, mode,
 
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1),
-       **{**_GENERATOR_DRAW, "mode": st.just("sigma_n")})
-def test_expm_action_dense_output_matches_dense_exponential(seed, fock_dim, mode,
+       **{**_GENERATOR_DRAW, "delta": st.floats(0.05, 0.5)})
+def test_expm_action_dense_output_matches_dense_exponential(seed, fock_dim,
                                                             **phys):
     # one plan over the span (norm * span = 20: 3 steps of length h); an
     # irregular grid with 12 nodes inside the first step, one exactly on
     # its end and one ulp either side, and a final interval of 0.3 h
-    liou = _draw_liouvillian(fock_dim, mode, **phys)
+    liou = _draw_liouvillian(fock_dim, **phys)
     span = 20.0 / liou.norm_bound
     h = span / core._taylor_plan(20.0)[1]
     rng = np.random.default_rng(seed)
@@ -282,7 +293,7 @@ def test_expm_action_dense_output_matches_dense_exponential(seed, fock_dim, mode
 
 
 def test_expm_action_accurate_over_a_phase_accumulating_run():
-    # sigma_z mode at epsilon = 10, like the README run: ~400 rad of qubit
+    # sigma_z coupling at epsilon = 10, like the README run: ~400 rad of qubit
     # phase over [0, 40], with 81 nodes evaluated inside 45 Taylor steps
     p = SystemParams(epsilon=10.0, g=0.3, kappa=0.1, f=0.05, delta_omega=0.3,
                      s_ii=1.0)
@@ -309,7 +320,7 @@ def test_evolve_apply_calls_do_not_depend_on_the_grid(monkeypatch):
     monkeypatch.setattr(Liouvillian, "apply", counted)
     p = SystemParams(epsilon=1.0, delta=0.1, g=0.02, kappa=0.1, f=0.3,
                      delta_omega=0.92, gamma1=0.05, gamma2=0.02, s_ii=20.0)
-    liou = build_liouvillian(p, FockSpace(12), coupling_mode="sigma_n")
+    liou = build_liouvillian(p, FockSpace(12))
     counts = []
     for n in (2, 41, 401):
         calls.clear()
@@ -321,9 +332,9 @@ def test_evolve_apply_calls_do_not_depend_on_the_grid(monkeypatch):
 
 @_PROPERTY
 @given(seed=st.integers(0, 2 ** 32 - 1), **_GENERATOR_DRAW)
-def test_liouvillian_apply_preserves_trace_and_hermiticity(seed, fock_dim, mode,
+def test_liouvillian_apply_preserves_trace_and_hermiticity(seed, fock_dim,
                                                            **phys):
-    liou = _draw_liouvillian(fock_dim, mode, **phys)
+    liou = _draw_liouvillian(fock_dim, **phys)
     out = liou.apply(_random_state(2 * fock_dim, seed))
     scale = max(1.0, np.abs(out).max())
     assert abs(out.trace()) <= 1e-13 * scale
@@ -340,7 +351,7 @@ def test_qubit_flip_mode_approaches_golden_rule_rates():
     for g in (0.04, 0.02, 0.01, 0.005):
         p = SystemParams(epsilon=1.0, delta=0.1, g=g, kappa=0.1, f=0.3,
                          delta_omega=basis.splitting, s_ii=1.0)
-        liou = build_liouvillian(p, FockSpace(8), coupling_mode="sigma_n")
+        liou = build_liouvillian(p, FockSpace(8))
         ev = np.linalg.eigvals(_superoperator(liou))
         ev = ev[np.argsort(np.abs(ev))]
         rs = rates(p, basis)
@@ -373,7 +384,7 @@ def test_evolution_record_observables():
     space = FockSpace(10)
     rec = evolve(build_liouvillian(P_ME, space), plus_vacuum(space),
                  np.linspace(0.0, 10.0, 6))
-    # sigma_z commutes with the generator in sigma_z mode
+    # sigma_z commutes with the generator at delta = 0
     np.testing.assert_allclose(rec.sigma_z, np.zeros(6), atol=1e-10)
     assert rec.coherence01[0] == pytest.approx(0.5, abs=1e-14)
     assert rec.a_mean[0] == 0.0
@@ -385,10 +396,10 @@ def test_evolution_record_observables():
 
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), **_GENERATOR_DRAW)
-def test_evolve_observables_match_operator_traces(seed, fock_dim, mode, **phys):
+def test_evolve_observables_match_operator_traces(seed, fock_dim, **phys):
     # evolve reads each observable off one diagonal of the state; compare
     # with tr(op rho) of the tensor-built operators at every node
-    liou = _draw_liouvillian(fock_dim, mode, **phys)
+    liou = _draw_liouvillian(fock_dim, **phys)
     assert len(liou.dissipators) == 3
     space = liou.space
     ident = qubit_operator("identity")
@@ -421,7 +432,7 @@ def test_evolve_projects_rho0_onto_its_hermitian_part():
     liou = build_liouvillian(SystemParams(epsilon=1.0, delta=0.1, g=0.3,
                                           kappa=0.1, gamma1=0.05, gamma2=0.02,
                                           f=0.05, delta_omega=0.3, s_ii=1.0),
-                             space, coupling_mode="sigma_n")
+                             space)
     herm = plus_vacuum(space).matrix
     noise = np.random.default_rng(5).normal(size=herm.shape)
     noisy = herm + 1e-12j * (noise + noise.T)   # anti-Hermitian part only
@@ -571,6 +582,27 @@ def test_long_time_coherence_decays_at_gamma_m():
     assert -slope == pytest.approx(gamma_m(P_ME), rel=5e-2)
 
 
+def test_master_equation_dephasing_peaks_at_optimal_detuning():
+    # the late-time coherence decay rate of the master equation is largest
+    # at delta_omega* = sqrt(g^2 - kappa^2/4) (measured 0.0488849 there,
+    # against 0.0441548 and 0.0427826 at delta_omega* -+ 0.02), and equals
+    # the closed-form slope at each point
+    space = FockSpace(12)
+    dw_star = optimal_detuning(P_ME)
+    slopes = []
+    for dw in (dw_star - 0.02, dw_star, dw_star + 0.02):
+        p = replace(P_ME, delta_omega=dw)
+        rec = evolve(build_liouvillian(p, space), plus_vacuum(space),
+                     [0.0, 60.0, 100.0])
+        assert rec.valid
+        slope = -math.log(rec.coherence01[2] / rec.coherence01[1]) / 40.0
+        closed = -math.log(abs(coherence_solution(p, 100.0, 1.0))
+                           / abs(coherence_solution(p, 60.0, 1.0))) / 40.0
+        assert slope == pytest.approx(closed, rel=1e-6)
+        slopes.append(slope)
+    assert slopes[1] > max(slopes[0], slopes[2])
+
+
 # ---------------------------------------------------------------- repeatability
 
 def test_repeated_measurements_agree_in_sigma_z_mode():
@@ -683,7 +715,7 @@ def _outcome_tree(liou, rho0, t_meas, n_meas):
 @pytest.mark.parametrize("n_meas", [3, 4])
 def test_merged_mixtures_match_the_unpruned_outcome_tree(n_meas):
     space = FockSpace(8)
-    liou = build_liouvillian(P_FLIP, space, coupling_mode="sigma_n")
+    liou = build_liouvillian(P_FLIP, space)
     rho0 = _ground_vacuum(space)
     stats = repeatability_experiment(liou, rho0, t_meas=40.0, n_meas=n_meas)
     agreement, rounds = _outcome_tree(liou, rho0, 40.0, n_meas)
@@ -710,7 +742,7 @@ def test_repeatability_evolves_each_last_outcome_once_per_round(monkeypatch):
 
     monkeypatch.setattr(lindblad, "evolve", counted)
     space = FockSpace(12)
-    liou = build_liouvillian(P_FLIP, space, coupling_mode="sigma_n")
+    liou = build_liouvillian(P_FLIP, space)
     stats = repeatability_experiment(liou, _ground_vacuum(space), t_meas=40.0,
                                      n_meas=6)
     assert len(calls) == 1 + 2 * (6 - 1)
@@ -721,7 +753,7 @@ def test_repeatability_evolves_each_last_outcome_once_per_round(monkeypatch):
 # two calls of each builder give equal but separately built instances
 _ARRAY_DATACLASSES = {
     "DensityMatrix": lambda: _ground_vacuum(FockSpace(3)),
-    "Liouvillian": lambda: build_liouvillian(P_FLIP, FockSpace(3), "sigma_n"),
+    "Liouvillian": lambda: build_liouvillian(P_FLIP, FockSpace(3)),
     "EvolutionRecord": lambda: evolve(build_liouvillian(P_ME, FockSpace(3)),
                                       _ground_vacuum(FockSpace(3)), [0.0, 1.0]),
     "RepeatabilityStats": lambda: repeatability_experiment(

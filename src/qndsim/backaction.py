@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (NumericsError, SystemParams, _check_grid, _state_errors,
-                   _substep_plan, integrate)
+from .core import (NumericsError, SystemParams, _check_grid,
+                   _eigenvalue_below, _state_errors, _substep_plan, integrate)
 
 __all__ = [
     "QubitEigenbasis",
@@ -221,12 +221,12 @@ def _check_rho0(rho0: np.ndarray) -> np.ndarray:
     m = np.asarray(rho0, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"rho0 must be 2x2, got {m.shape}")
-    tr_dev, herm, lo = _state_errors(m, min_eigenvalue=True)
+    tr_dev, herm = _state_errors(m)
     if tr_dev > 1e-9:
         raise ValueError("rho0 trace must be 1")
     if herm > 1e-10:
         raise ValueError("rho0 must be Hermitian")
-    if lo < -1e-9:
+    if _eigenvalue_below(m, -1e-9) is not None:
         raise ValueError("rho0 must be positive semidefinite")
     return m
 

@@ -123,7 +123,8 @@ class DensityMatrix:
     """Joint qubit (x) resonator state, validated on construction.
 
     The matrix is 2*dim x 2*dim complex with unit trace (within 1e-9),
-    Hermitian (within 1e-10 entrywise) and no eigenvalue below -1e-7.
+    Hermitian (within 1e-10 entrywise) and no eigenvalue below -1e-7
+    (see _eigenvalue_below).
     """
 
     space: FockSpace
@@ -138,12 +139,13 @@ class DensityMatrix:
             raise ValueError(f"expected shape {(n, n)}, got {m.shape}")
         if not np.all(np.isfinite(m.view(float))):
             raise ValueError("density matrix contains non-finite entries")
-        tr_dev, herm, lo = _state_errors(m, min_eigenvalue=True)
+        tr_dev, herm = _state_errors(m)
         if tr_dev > _TRACE_TOL:
             raise ValueError(f"trace deviates from 1 by {tr_dev:.3e}")
         if herm > _HERM_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-10")
-        if lo < -_EIG_TOL:
+        lo = _eigenvalue_below(m, -_EIG_TOL)
+        if lo is not None:
             raise ValueError(f"negative eigenvalue {lo:.3e} below -1e-7")
 
     @classmethod
@@ -229,15 +231,28 @@ def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
-def _state_errors(m: np.ndarray, min_eigenvalue: bool = False) -> tuple:
+def _state_errors(m: np.ndarray) -> tuple:
     """|tr m - 1| and the largest |m - m^dagger| entry of a density matrix,
-    or of each matrix in a stack (..., n, n); with min_eigenvalue also its
-    smallest eigenvalue.  The caller compares them with its own floors."""
+    or of each matrix in a stack (..., n, n).  The caller compares them
+    with its own floors."""
     tr_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
     herm = np.abs(m - np.swapaxes(m, -2, -1).conj()).max(axis=(-2, -1))
-    if not min_eigenvalue:
-        return tr_dev, herm
-    return tr_dev, herm, np.linalg.eigvalsh(m).min(axis=-1)
+    return tr_dev, herm
+
+
+def _eigenvalue_below(m: np.ndarray, floor: float) -> float | None:
+    """The smallest eigenvalue of Hermitian m if below floor (< 0), else
+    None.  A Cholesky factorization of m + (1 - 1e-6)|floor| I succeeds
+    only if all of them exceed floor (the margin beats its ~n eps ||m||
+    backward error); eigvalsh decides only when it fails."""
+    shifted = np.array(m, dtype=complex)
+    shifted.flat[::len(m) + 1] += (1.0 - 1e-6) * abs(floor)
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        lo = float(np.linalg.eigvalsh(m).min())
+        return lo if lo < floor else None
+    return None
 
 
 def _check_grid(t_grid: Sequence[float]) -> np.ndarray:
@@ -315,6 +330,9 @@ _TAYLOR_TOL = 2.0 ** -53
 # stopping test at this tolerance never stops before the same test on
 # complex norms at _TAYLOR_TOL would
 _STOP_TOL = _TAYLOR_TOL / math.sqrt(2.0)
+# for a partial sum y, y_bound (its start's norm plus its terms') times
+# _STOP_BOUND >= _inf_norm(y) * _STOP_TOL, the margin covering rounding
+_STOP_BOUND = _STOP_TOL * (1.0 + 1e-12)
 
 
 def _taylor_plan(x: float) -> tuple[int, int]:
@@ -354,7 +372,8 @@ def expm_action(apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
     once two consecutive terms fall below 2^-53/sqrt(2) times the partial
     sum, at the step end and, with their weights r^j, at every node inside
     it, in the max-abs norm over real and imaginary parts (never earlier
-    than the same test at 2^-53 in the complex max-abs norm).  The terms
+    than the same test at 2^-53 in the complex max-abs norm), taking the
+    partial sum's norm only when its bound lets the test pass.  The terms
     alternate between two buffers, each weighted term is formed in the one
     apply has just read, and the sums accumulate in place, so no
     state-sized array is allocated per term; each returned node is its own
@@ -381,18 +400,20 @@ def expm_action(apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
         nodes = [y.copy() for _ in r]
         w = w_prev = [1.0] * len(r)    # r^j and r^(j-1) per node
         term = y
-        c1 = _inf_norm(term)
+        c1 = y_bound = _inf_norm(term)
         for j in range(1, m + 1):
             term = apply(term, bufs[j & 1])
             term *= h / j
             c2 = _inf_norm(term)
+            y_bound += c2
             y += term
             if r:
                 spent = bufs[(j + 1) & 1]
                 w_prev, w = w, [wk * rk for wk, rk in zip(w, r)]
                 for z, wk in zip(nodes, w):
                     z += np.multiply(term, wk, out=spent)
-            if c1 + c2 <= _STOP_TOL * _inf_norm(y) and all(
+            if c1 + c2 <= _STOP_BOUND * y_bound and \
+                    c1 + c2 <= _STOP_TOL * _inf_norm(y) and all(
                     wp * c1 + wk * c2 <= _STOP_TOL * _inf_norm(z)
                     for z, wp, wk in zip(nodes, w_prev, w)):
                 break

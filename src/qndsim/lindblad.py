@@ -48,74 +48,91 @@ _BRANCH_PRUNE = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
-    """Precomputed generator: Hamiltonian plus weighted jump operators.
+    """Precomputed generator: a real Hamiltonian (else ValueError) plus
+    weighted jump operators.
 
     dissipators holds one (c, o, v) triple per jump operator L: the
-    coefficient c, already including any rate prefactor, and L's one
-    nonzero diagonal v at offset o, L[i, i + o] = v_i.  v must have length
-    2 dim - |o|, else ValueError.  L+L is then diagonal, and construction
-    folds the anticommutators into the effective Hamiltonian
-    h_eff = H - (i/2) sum_k c_k L+L, so that
-    apply(rho) = -i(h_eff rho - rho h_eff+) + sum_k c_k L rho L+,
-    and bounds the 1-norm of that superoperator on rho flattened:
-    norm_bound = 2 ||h_eff - mu I||_1 + sum_k c_k max|v_k|^2, with mu the
-    midpoint of H's real diagonal (the shift cancels in the commutator).
+    coefficient c, rate prefactor included, and L's one nonzero diagonal
+    v at offset o, L[i, i + o] = v_i, of length 2 dim - |o| (else
+    ValueError).  With the diagonal Gamma = (1/2) sum_k c_k L+L,
+    apply(rho)[i, j] = -i[H, rho][i, j] - (Gamma_i + Gamma_j) rho[i, j]
+                       + sum_k c_k v_i v_j* rho[i+o_k, j+o_k].
+    The decay joins the offset-0 weight and terms sharing an offset merge;
+    each offset is one product and one add over the flattened arrays,
+    shifted by |o|(n + 1), with zero weights where the shift wraps.
+    norm_bound = 2 ||H - i Gamma - mu I||_1 + sum_k c_k max|v_k|^2, mu the
+    midpoint of H's diagonal, bounds the superoperator's 1-norm.
 
-    (c L rho L+)[i, j] = c v_i v_j* rho[i+o, j+o], so apply adds each jump
-    term as one weight matrix times a shifted slice of rho.  apply takes
-    Hermitian rho only: then rho h_eff+ = (h_eff rho)+, so one matmul plus
-    k elementwise products make the whole generator, and with real jump
-    weights (all that build_liouvillian makes) the result is exactly
-    Hermitian.  apply works in a scratch array owned by this object, so it
-    is not re-entrant: do not call it from two threads at once on the
-    same Liouvillian.
+    apply takes Hermitian rho only: then rho H = (H rho)+, so one real
+    matmul X = H rho gives -i(X - X+), and with real jump weights (all
+    that build_liouvillian makes) the result is exactly Hermitian.  apply
+    uses a scratch array of this object, so it is not re-entrant.
     """
 
     params: SystemParams
     space: FockSpace
     hamiltonian: np.ndarray
     dissipators: tuple = field(default_factory=tuple)
-    h_eff: np.ndarray = field(init=False, repr=False)
     norm_bound: float = field(init=False, repr=False)
-    # (weight matrix, target slice, source slice) per jump operator
+    _h_real: np.ndarray = field(init=False, repr=False)
+    # (flat weights, target slice, source slice) per distinct offset
     _jumps: tuple = field(init=False, repr=False)
     _scratch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.hamiltonian)
-        h_eff = np.array(self.hamiltonian, dtype=complex)
-        jumps = []
+        if np.any(np.imag(self.hamiltonian)):
+            raise ValueError("hamiltonian must be real")
+        h_eff = np.array(self.hamiltonian, dtype=complex)    # H - i Gamma
+        weights = {}    # offset -> n x n weights, zero outside [:k, :k]
         for c, o, v in self.dissipators:
-            if not (abs(o) < n and np.shape(v) == (n - abs(o),)):
+            k = n - abs(o)
+            if not (abs(o) < n and np.shape(v) == (k,)):
                 raise ValueError(f"jump diagonal at offset {o} must have length "
-                                 f"{n - abs(o)}, got shape {np.shape(v)}")
-            dst, src = (slice(0, n - o), slice(o, n)) if o >= 0 else \
-                (slice(-o, n), slice(0, n + o))
+                                 f"{k}, got shape {np.shape(v)}")
+            src = slice(max(o, 0), n + min(o, 0))    # where L+L is nonzero
             h_eff[src, src] -= np.diag((0.5j * c) * (v.conj() * v))
-            jumps.append((c * np.outer(v, v.conj()), dst, src))
+            w = np.zeros((n, n), dtype=complex)
+            w[:k, :k] = c * np.outer(v, v.conj())
+            weights[o] = weights.get(o, 0j) + w
+        if weights:
+            minus_gamma = h_eff.diagonal().imag
+            weights[0] = weights.get(0, 0j) + (minus_gamma[:, None] + minus_gamma)
+        jumps = []
+        for o, w in weights.items():
+            shift = abs(o) * (n + 1)
+            head, tail = slice(0, n * n - shift), slice(shift, n * n)
+            jumps.append((w.reshape(-1)[:n * n - shift].copy(),
+                          *((head, tail) if o >= 0 else (tail, head))))
         diag = self.hamiltonian.diagonal().real
         mu = 0.5 * (diag.max() + diag.min())
         bound = 2.0 * np.linalg.norm(h_eff - mu * np.eye(n), 1)
         bound += sum(c * np.abs(v).max() ** 2 for c, _, v in self.dissipators)
-        object.__setattr__(self, "h_eff", h_eff)
         object.__setattr__(self, "norm_bound", float(bound))
+        object.__setattr__(self, "_h_real",
+                           np.ascontiguousarray(self.hamiltonian.real, dtype=float))
         object.__setattr__(self, "_jumps", tuple(jumps))
         object.__setattr__(self, "_scratch", np.empty_like(h_eff))
 
     def apply(self, rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The generator applied to rho, written into out and returned.
-
-        One matmul: rho must be Hermitian, and the result is exactly
-        Hermitian (see the class docstring).  out must not overlap rho;
-        with out=None a new array is returned.  Not re-entrant.
+        """The generator on Hermitian rho, written into out and returned
+        (a new array for out=None).  out must be C-contiguous, else
+        ValueError, and must not overlap rho.  Not re-entrant.
         """
-        tmp = np.matmul(self.h_eff, rho, out=self._scratch)
-        out = np.conjugate(tmp.T, out=np.empty_like(tmp) if out is None else out)
+        # C order, for the float and flat views below
+        rho = np.ascontiguousarray(rho, dtype=complex)
+        tmp = self._scratch
+        if out is None:
+            out = np.empty_like(tmp)
+        elif not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        np.matmul(self._h_real, rho.view(float), out=tmp.view(float))
+        np.conjugate(tmp.T, out=out)
         np.subtract(tmp, out, out=out)
         out *= -1j
+        rho_f, tmp_f, out_f = rho.reshape(-1), tmp.reshape(-1), out.reshape(-1)
         for w, dst, src in self._jumps:
-            np.multiply(w, rho[src, src], out=tmp[dst, dst])
-            out[dst, dst] += tmp[dst, dst]
+            out_f[dst] += np.multiply(w, rho_f[src], out=tmp_f[dst])
         return out
 
 
@@ -215,9 +232,9 @@ def evolve(liou: Liouvillian, rho0: DensityMatrix,
            t_grid: Sequence[float]) -> EvolutionRecord:
     """Propagate the master equation exactly over t_grid (must start at 0).
 
-    The number of Liouvillian.apply calls depends on the span t_grid[-1]
-    and the generator's norm_bound, not on how many nodes t_grid has (see
-    core.expm_action).
+    The number of Liouvillian.apply calls (one real matmul each) depends
+    on the span t_grid[-1] and the generator's norm_bound, not on how many
+    nodes t_grid has (see core.expm_action).
 
     rho0 is first projected onto its Hermitian part (m + m+)/2, which is
     rho0 itself bit for bit when it is exactly Hermitian and otherwise

@@ -361,6 +361,23 @@ def test_evolve_reduced_validation():
         evolve_reduced(P_SYM, B_SYM, rho0, [0.0, 1.0], mode="markov", step=0.1)
 
 
+@pytest.mark.parametrize("lo", [-1e-9 * (1.0 + 1e-3), -1e-9 * (1.0 - 1e-3),
+                                -1e-9 - 1e-12, -1e-9 + 1e-12,
+                                -1e-9 * (1.0 - 5e-7), 0.0])
+def test_rho0_positivity_verdict_matches_eigvalsh(lo):
+    # the -1e-9 floor on either side, inside the Cholesky margin and at 0,
+    # judged against eigvalsh as the oracle
+    c, s = math.cos(0.3), math.sin(0.3) * np.exp(0.7j)
+    u = np.array([[c, -s.conjugate()], [s, c]])
+    m = (u * [lo, 1.0 - lo]) @ u.conj().T
+    m = 0.5 * (m + m.conj().T)
+    if np.linalg.eigvalsh(m).min() < -1e-9:
+        with pytest.raises(ValueError, match="^rho0 must be positive semidefinite$"):
+            evolve_reduced(P_SYM, B_SYM, m, [0.0, 1.0])
+    else:
+        evolve_reduced(P_SYM, B_SYM, m, [0.0, 1.0])
+
+
 # the reduced-job relaxation point and the coherence-doubling point
 _TD_CASES = [
     (SystemParams(epsilon=0.05, delta=1.0, g=0.05, kappa=1.0, f=1.0,

@@ -191,6 +191,61 @@ def test_density_matrix_accepts_non_contiguous_input():
         DensityMatrix(space, wide[:, ::2])
 
 
+def _state_with_min_eigenvalue(n, lo, seed):
+    # U diag(lam) U+ with trace 1, smallest eigenvalue lo, made exactly
+    # Hermitian
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    lam = rng.uniform(0.5, 1.0, n)
+    lam[0] = 0.0
+    lam *= (1.0 - lo) / lam.sum()
+    lam[0] = lo
+    m = (q * lam) @ q.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+# smallest eigenvalues at the floor times (1 -+ 1e-3), at the floor -+ 1e-12,
+# inside the 1e-6 relative Cholesky margin, and at 0
+def _eigenvalues_around(floor):
+    return (floor * (1.0 + 1e-3), floor * (1.0 - 1e-3), floor - 1e-12,
+            floor + 1e-12, floor * (1.0 - 5e-7), 0.0)
+
+
+def test_positivity_verdict_matches_eigvalsh(monkeypatch):
+    # Cholesky decides every state clear of the floor by its margin, and
+    # eigvalsh, the oracle, everything else
+    eig_calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: eig_calls.append(None) or eigvalsh(m))
+    for floor, n in ((-1e-7, 24), (-1e-7, 96), (-1e-9, 2)):
+        for k, lo in enumerate(_eigenvalues_around(floor)):
+            m = _state_with_min_eigenvalue(n, lo, seed=k)
+            oracle = eigvalsh(m).min()
+            eig_calls.clear()
+            got = core._eigenvalue_below(m, floor)
+            if oracle < floor:
+                assert got == oracle
+            else:
+                assert got is None
+            # each lo is far from the shifted zero next to the factorization's
+            # backward error, so its sign alone says whether Cholesky fails
+            assert eig_calls == ([None] if lo < (1.0 - 1e-6) * floor else [])
+
+
+def test_density_matrix_positivity_against_eigvalsh():
+    space = FockSpace(12)
+    for k, lo in enumerate(_eigenvalues_around(-1e-7)):
+        m = _state_with_min_eigenvalue(24, lo, seed=k)
+        oracle = np.linalg.eigvalsh(m).min()
+        if oracle < -1e-7:
+            with pytest.raises(ValueError) as info:
+                DensityMatrix(space, m)
+            assert str(info.value) == f"negative eigenvalue {oracle:.3e} below -1e-7"
+        else:
+            DensityMatrix(space, m)
+
+
 def test_fock_vacuum():
     v = fock_vacuum(FockSpace(3))
     assert v[0, 0] == 1.0

@@ -187,6 +187,10 @@ def test_apply_matches_commutator_form(seed, fock_dim, **phys):
     rng = np.random.default_rng(seed)
     n = 2 * fock_dim
     rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    _assert_apply_matches_commutator_form(liou, rho)
+
+
+def _assert_apply_matches_commutator_form(liou, rho):
     h = liou.hamiltonian
     ref = -1j * (h @ rho - rho @ h)
     for c, o, v in liou.dissipators:
@@ -199,6 +203,55 @@ def test_apply_matches_commutator_form(seed, fock_dim, **phys):
     h2 = -0.5j * (rho - rho.conj().T)
     got = liou.apply(h1) + 1j * liou.apply(h2)
     assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_apply_merges_jump_operators_that_share_an_offset():
+    # one weight matrix per offset, the decay folded into offset 0: jumps
+    # stacked on the offsets build_liouvillian uses, and on another
+    base = _draw_liouvillian(5, epsilon=1.0, delta=0.1, g=0.2, kappa=0.3,
+                             gamma1=0.05, gamma2=0.02, f=0.4, delta_omega=0.1)
+    rng = np.random.default_rng(4)
+    extra = tuple((0.1 * (k + 1), o, rng.normal(size=(10 - o, 2)) @ [1.0, 1j])
+                  for k, o in enumerate((0, 1, 1, 3)))
+    liou = Liouvillian(params=base.params, space=base.space,
+                       hamiltonian=base.hamiltonian,
+                       dissipators=base.dissipators + extra)
+    assert len(liou._jumps) == 4    # offsets 1, -5, 0 and 3
+    rho = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
+    _assert_apply_matches_commutator_form(liou, rho)
+
+
+def test_liouvillian_rejects_a_complex_hamiltonian():
+    base = build_liouvillian(P_ME, FockSpace(4))
+    h = base.hamiltonian.copy()
+    h[0, 1] += 1e-3j
+    h[1, 0] -= 1e-3j    # still Hermitian
+    with pytest.raises(ValueError, match="hamiltonian must be real"):
+        Liouvillian(params=P_ME, space=base.space, hamiltonian=h,
+                    dissipators=base.dissipators)
+
+
+def test_apply_reads_strided_input_like_its_contiguous_copy():
+    # the real matmul reads rho through a float view and the jump terms
+    # through a flat one, which strides must not scramble: a transpose, a
+    # column-strided view and a row-padded view of a Hermitian state, and
+    # the same state as a real array
+    liou = _draw_liouvillian(6, epsilon=2.0, delta=0.0, g=0.2, kappa=0.3,
+                             gamma1=0.05, gamma2=0.02, f=0.4, delta_omega=0.1)
+    rho = _random_state(12, seed=9)
+    wide = np.zeros((12, 24), dtype=complex)
+    wide[:, ::2] = rho
+    padded = np.zeros((12, 15), dtype=complex)
+    padded[:, :12] = rho
+    expected = liou.apply(rho.copy())
+    for view in (rho.conj().T, wide[:, ::2], padded[:, :12]):
+        assert not view.flags.c_contiguous
+        np.testing.assert_array_equal(liou.apply(view), expected)
+    real_rho = rho.real
+    np.testing.assert_array_equal(liou.apply(real_rho), liou.apply(real_rho + 0j))
+    # out is written through its flat view, which only C order has
+    with pytest.raises(ValueError, match="out must be C-contiguous"):
+        liou.apply(rho, np.empty_like(rho).T)
 
 
 @_PROPERTY
@@ -305,6 +358,80 @@ def test_expm_action_accurate_over_a_phase_accumulating_run():
     for t, m in zip(grid, got):
         ref = scipy.linalg.expm(sup * t) @ rho0.ravel()
         assert np.max(np.abs(m.ravel() - ref)) <= 1e-12
+
+
+def _expm_action_eager(apply, y0, t, norm):
+    # core.expm_action with the norm of the partial sum taken at every
+    # term: the reference for the bound that skips it
+    y = np.array(y0, dtype=complex)
+    bufs = (np.empty_like(y), np.empty_like(y))
+    out = [y.copy()]
+    t = list(t)
+    m, n_steps = core._taylor_plan(norm * t[-1])
+    h = t[-1] / n_steps
+    k = 1
+    for i in range(n_steps):
+        t_b = t[-1] if i == n_steps - 1 else (i + 1) * h
+        k_end = k
+        while k_end < len(t) and t[k_end] < t_b:
+            k_end += 1
+        r = [(tk - i * h) / h for tk in t[k:k_end]]
+        nodes = [y.copy() for _ in r]
+        w = w_prev = [1.0] * len(r)
+        term = y
+        c1 = core._inf_norm(term)
+        for j in range(1, m + 1):
+            term = apply(term, bufs[j & 1])
+            term *= h / j
+            c2 = core._inf_norm(term)
+            y += term
+            w_prev, w = w, [wk * rk for wk, rk in zip(w, r)]
+            for z, wk in zip(nodes, w):
+                z += term * wk
+            if c1 + c2 <= core._STOP_TOL * core._inf_norm(y) and all(
+                    wp * c1 + wk * c2 <= core._STOP_TOL * core._inf_norm(z)
+                    for z, wp, wk in zip(nodes, w_prev, w)):
+                break
+            c1 = c2
+        out.extend(nodes)
+        if t[k_end] == t_b:
+            out.append(y.copy())
+            k_end += 1
+        k = k_end
+    return out
+
+
+def test_expm_action_matches_the_eager_norm_loop(monkeypatch):
+    # the benchmark's d = 12 sigma_n generator with all three dissipators,
+    # nodes inside steps and on the last step end: the same bits and the
+    # same Taylor terms per step, with fewer norms
+    p = SystemParams(epsilon=1.0, delta=0.1, g=0.02, kappa=0.1, f=0.3,
+                     delta_omega=0.92, gamma1=0.05, gamma2=0.02, s_ii=20.0)
+    liou = build_liouvillian(p, FockSpace(12))
+    rho0 = _random_state(24, seed=5)
+    grid = np.concatenate([np.linspace(0.0, 1.0, 6), [2.5, 7.0]])
+    norms = []
+    inf_norm = core._inf_norm
+    monkeypatch.setattr(core, "_inf_norm", lambda y: norms.append(None) or inf_norm(y))
+    runs = []
+    for propagate in (expm_action, _expm_action_eager):
+        ids = []
+
+        def apply(y, out):
+            ids.append(id(y))
+            return liou.apply(y, out)
+
+        norms.clear()
+        ys = propagate(apply, rho0, grid, liou.norm_bound)
+        # each step's first apply call reads the partial sum itself
+        starts = [k for k, i in enumerate(ids) if i == ids[0]]
+        runs.append((ys, np.diff(starts + [len(ids)]), len(norms)))
+    (ys, terms, n_norms), (ys_ref, terms_ref, n_norms_ref) = runs
+    assert len(ys) == len(ys_ref) == len(grid)
+    for y, y_ref in zip(ys, ys_ref):
+        np.testing.assert_array_equal(y, y_ref)
+    np.testing.assert_array_equal(terms, terms_ref)
+    assert n_norms < 0.7 * n_norms_ref
 
 
 def test_evolve_apply_calls_do_not_depend_on_the_grid(monkeypatch):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -221,6 +221,8 @@ def _check_rho0(rho0: np.ndarray) -> np.ndarray:
     m = np.asarray(rho0, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"rho0 must be 2x2, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("rho0 contains non-finite entries")
     tr_dev, herm = _state_errors(m)
     if tr_dev > 1e-9:
         raise ValueError("rho0 trace must be 1")
@@ -233,8 +235,7 @@ def _check_rho0(rho0: np.ndarray) -> np.ndarray:
 
 def evolve_reduced(params: SystemParams, basis: QubitEigenbasis,
                    rho0_qubit: np.ndarray, t_grid: Sequence[float],
-                   mode: str = "markov",
-                   step: Optional[float] = None) -> ReducedRecord:
+                   mode: str = "markov") -> ReducedRecord:
     """Interaction-picture reduced qubit dynamics under the number noise.
 
     markov mode: constant-rate equations built from rates() (memory integral
@@ -244,8 +245,9 @@ def evolve_reduced(params: SystemParams, basis: QubitEigenbasis,
     (t in place of the ramp at G = 0), rho_00 likewise with gamma_down,
     and rho_01(t) = rho_01(0) e^(-gamma_phi t).
     time_dependent mode: integrates the time-local equation by RK4
-    (core.integrate) with the finite-memory kernel K(t), exposing the
-    short-time (t < 1/kappa) transient; step applies to this mode only.
+    (core.integrate) with the finite-memory kernel K(t) and step
+    1/(50 max(E, kappa, |delta_omega|)), exposing the short-time
+    (t < 1/kappa) transient.
     K is evaluated once per grid interval, on the array of every RK4 stage
     time in it (from the same _substep_plan and index formula integrate
     uses), and each stage looks its 4x4 generator up by time.
@@ -254,9 +256,6 @@ def evolve_reduced(params: SystemParams, basis: QubitEigenbasis,
     t = _check_grid(t_grid)
 
     if mode == "markov":
-        if step is not None:
-            raise ValueError("step applies to time_dependent mode only; "
-                             "markov mode is solved in closed form")
         rs = rates(params, basis)
         g_tot = rs.gamma_up + rs.gamma_down
         ramp = t if g_tot == 0.0 else -np.expm1(-g_tot * t) / g_tot
@@ -268,10 +267,9 @@ def evolve_reduced(params: SystemParams, basis: QubitEigenbasis,
         mats[:, 0, 1] = rho0[0, 1] * decay
         mats[:, 1, 0] = rho0[1, 0] * decay
     elif mode == "time_dependent":
-        if step is None:
-            rate_scale = max(basis.splitting, params.kappa,
-                             abs(params.delta_omega), 1e-300)
-            step = 1.0 / (50.0 * rate_scale)
+        rate_scale = max(basis.splitting, params.kappa,
+                         abs(params.delta_omega), 1e-300)
+        step = 1.0 / (50.0 * rate_scale)
         intervals = iter(_substep_plan(t, step))
         generators = {}
 

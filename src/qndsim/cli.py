@@ -5,9 +5,6 @@ grids (fig2, fig3), the master-equation integrator (lindblad) and the
 repeated-measurement experiment (repeat), emitting CSV whose float fields
 are shortest round-trip reprs: identical inputs give byte-identical files.
 
-Runs are single-threaded.  The thread count (--threads, the threads key)
-is still accepted and validated for compatibility, but no run uses it.
-
 Config files are line-oriented ``key = value`` with ``#`` comments; unknown
 keys are rejected.  The run mode is always given on the command line.
 """
@@ -51,7 +48,7 @@ FIG3_KAPPAS = (0.1, 0.2, 0.3, 0.4)
 _PARAM_KEYS = ("epsilon", "delta", "g", "kappa", "gamma1", "gamma2", "f",
                "delta_omega", "s_ii")
 _FLOAT_KEYS = _PARAM_KEYS + ("t_max", "t_step", "sweep_start", "sweep_stop")
-_INT_KEYS = ("fock_dim", "threads", "sweep_count")
+_INT_KEYS = ("fock_dim", "sweep_count")
 _STR_KEYS = ("output", "sweep_param")
 _ALL_KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
 
@@ -70,7 +67,7 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One validated run: physical parameters plus artifact plumbing.
+    """One validated run: physical parameters, time grid, sweep and output.
 
     s_ii = None means 2/kappa of the kappa in use, resolved by
     system_params after its replacements, so a swept kappa gets its own
@@ -89,7 +86,6 @@ class RunConfig:
     fock_dim: int = 12
     t_max: float = 2.0
     t_step: float = 0.01
-    threads: Optional[int] = None
     sweep: Optional[SweepSpec] = None
     mode: str = ""
     output: Optional[str] = None
@@ -149,12 +145,12 @@ def _convert(key: str, value: str, where: str):
     return number
 
 
-def parse_config(text: str, mode: Optional[str] = None,
+def parse_config(text: str, mode: str,
                  overrides: Optional[dict] = None) -> RunConfig:
     """Parse and validate a config; mode comes from the command line.
 
-    overrides (key -> value, from --set, then --threads and -o) apply after
-    the file text.  Raises ConfigError naming the offending line/key.
+    overrides (key -> value, from --set, then -o) apply after the file
+    text.  Raises ConfigError naming the offending line/key.
     """
     raw = _parse_kv_lines(text)
     converted = {k: _convert(k, v, f"line {ln}") for k, (ln, v) in raw.items()}
@@ -163,8 +159,6 @@ def parse_config(text: str, mode: Optional[str] = None,
             raise ConfigError(f"override: unknown key {key!r}")
         converted[key] = _convert(key, str(value), "override")
 
-    if mode is None:
-        raise ConfigError("mode required")
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
 
@@ -200,8 +194,6 @@ def parse_config(text: str, mode: Optional[str] = None,
                               f"is {nearest:.12g}")
     if cfg.fock_dim < 2:
         raise ConfigError(f"fock_dim must be >= 2, got {cfg.fock_dim}")
-    if cfg.threads is not None and cfg.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {cfg.threads}")
     try:
         cfg.system_params()
     except ValueError as exc:
@@ -372,9 +364,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(mode=mode)
         p.add_argument("-c", "--config", help="path to key = value config file")
         p.add_argument("-o", "--output", help="CSV output path (default stdout)")
-        p.add_argument("--threads", type=int,
-                       help="thread count, accepted and validated for compatibility; "
-                            "runs are single-threaded")
+        # ignored: runs are single-threaded, but bench/workloads.py passes it
+        p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key")
     return parser
@@ -397,8 +388,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if not sep:
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
             overrides[key.strip()] = value.strip()
-        if args.threads is not None:
-            overrides["threads"] = args.threads
         if args.output:
             overrides["output"] = args.output
 

@@ -69,7 +69,6 @@ class Liouvillian:
     uses a scratch array of this object, so it is not re-entrant.
     """
 
-    params: SystemParams
     space: FockSpace
     hamiltonian: np.ndarray
     dissipators: tuple = field(default_factory=tuple)
@@ -217,8 +216,7 @@ def build_liouvillian(params: SystemParams, space: FockSpace) -> Liouvillian:
     if params.gamma2 > 0.0:
         dissipators.append((params.gamma2 / 2.0, 0, np.repeat([1.0 + 0j, -1.0], d)))
 
-    return Liouvillian(params=params, space=space, hamiltonian=h,
-                       dissipators=tuple(dissipators))
+    return Liouvillian(space=space, hamiltonian=h, dissipators=tuple(dissipators))
 
 
 def _ladder_diagonal(space: FockSpace) -> np.ndarray:

@@ -357,8 +357,17 @@ def test_evolve_reduced_validation():
         evolve_reduced(P_SYM, B_SYM, np.diag([1.5, -0.5]), [0.0, 1.0])
     with pytest.raises(ValueError, match="must start at 0"):
         evolve_reduced(P_SYM, B_SYM, rho0, [1.0, 2.0])
-    with pytest.raises(ValueError, match="time_dependent mode only"):
-        evolve_reduced(P_SYM, B_SYM, rho0, [0.0, 1.0], mode="markov", step=0.1)
+
+
+@pytest.mark.parametrize("mode", ["markov", "time_dependent"])
+@pytest.mark.parametrize("where, bad", [((0, 0), np.nan), ((0, 1), np.inf)])
+def test_evolve_reduced_rejects_non_finite_rho0(mode, where, bad):
+    # bad input is named as such in both modes, not passed on as nan
+    # populations or as a NumericsError from the integration
+    rho0 = np.diag([0.5, 0.5]).astype(complex)
+    rho0[where] = bad
+    with pytest.raises(ValueError, match="^rho0 contains non-finite entries$"):
+        evolve_reduced(P_SYM, B_SYM, rho0, [0.0, 1.0], mode=mode)
 
 
 @pytest.mark.parametrize("lo", [-1e-9 * (1.0 + 1e-3), -1e-9 * (1.0 - 1e-3),
@@ -411,10 +420,12 @@ def test_time_dependent_tabulates_the_kernel_once_per_interval(monkeypatch):
     # call (over an array of times) per grid interval
     p, rho0, _ = _TD_CASES[0]
     b = eigenbasis(p.epsilon, p.delta)
-    grid, step = np.array([0.0, 0.3, 1.0, 1.7]), 0.07
-    want = evolve_reduced(p, b, rho0, grid, mode="time_dependent", step=step)
+    grid = np.array([0.0, 0.3, 1.0, 1.7])
+    step = 1.0 / (50.0 * max(b.splitting, p.kappa, abs(p.delta_omega)))
+    assert max(n_sub for _, _, n_sub in _substep_plan(grid, step)) > 1
+    want = evolve_reduced(p, b, rho0, grid, mode="time_dependent")
 
-    kernel_times, rhs_times = [], []
+    kernel_times, rhs_times, steps = [], [], []
     kernel, run = backaction._memory_kernel, backaction.integrate
 
     def counted_kernel(params, basis, t):
@@ -422,6 +433,8 @@ def test_time_dependent_tabulates_the_kernel_once_per_interval(monkeypatch):
         return kernel(params, basis, t)
 
     def recording_integrate(rhs, y0, t_grid, h_max):
+        steps.append(h_max)
+
         def recorded(tk, y):
             rhs_times.append(tk)
             return rhs(tk, y)
@@ -429,9 +442,10 @@ def test_time_dependent_tabulates_the_kernel_once_per_interval(monkeypatch):
 
     monkeypatch.setattr(backaction, "_memory_kernel", counted_kernel)
     monkeypatch.setattr(backaction, "integrate", recording_integrate)
-    got = evolve_reduced(p, b, rho0, grid, mode="time_dependent", step=step)
+    got = evolve_reduced(p, b, rho0, grid, mode="time_dependent")
 
     assert np.array_equal(got.matrices, want.matrices)
+    assert steps == [step]
     assert len(kernel_times) == len(grid) - 1
     assert all(k.ndim == 1 for k in kernel_times)
     expected = []

@@ -213,8 +213,7 @@ def test_apply_merges_jump_operators_that_share_an_offset():
     rng = np.random.default_rng(4)
     extra = tuple((0.1 * (k + 1), o, rng.normal(size=(10 - o, 2)) @ [1.0, 1j])
                   for k, o in enumerate((0, 1, 1, 3)))
-    liou = Liouvillian(params=base.params, space=base.space,
-                       hamiltonian=base.hamiltonian,
+    liou = Liouvillian(space=base.space, hamiltonian=base.hamiltonian,
                        dissipators=base.dissipators + extra)
     assert len(liou._jumps) == 4    # offsets 1, -5, 0 and 3
     rho = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
@@ -227,7 +226,7 @@ def test_liouvillian_rejects_a_complex_hamiltonian():
     h[0, 1] += 1e-3j
     h[1, 0] -= 1e-3j    # still Hermitian
     with pytest.raises(ValueError, match="hamiltonian must be real"):
-        Liouvillian(params=P_ME, space=base.space, hamiltonian=h,
+        Liouvillian(space=base.space, hamiltonian=h,
                     dissipators=base.dissipators)
 
 
@@ -290,7 +289,7 @@ def test_liouvillian_rejects_diagonal_that_does_not_fit_its_offset():
     for o, v in ((1, np.ones(n)), (-space.dim, np.ones(n)),
                  (0, np.ones(n - 1)), (n, np.ones(0))):
         with pytest.raises(ValueError, match="must have length"):
-            Liouvillian(params=P_ME, space=space, hamiltonian=base.hamiltonian,
+            Liouvillian(space=space, hamiltonian=base.hamiltonian,
                         dissipators=((0.1, o, v.astype(complex)),))
 
 

@@ -23,15 +23,11 @@ from .core import (NumericsError, SystemParams, _check_grid,
 
 __all__ = [
     "QubitEigenbasis",
-    "NoiseSpectrum",
     "RateSet",
     "ReducedRecord",
     "eigenbasis",
-    "number_correlator",
-    "noise_spectrum",
     "spectral_density",
     "rates",
-    "redfield_tensor",
     "evolve_reduced",
 ]
 
@@ -44,20 +40,6 @@ class QubitEigenbasis:
     splitting: float
     up_state: np.ndarray
     down_state: np.ndarray
-
-
-@dataclass(frozen=True)
-class NoiseSpectrum:
-    """Lorentzian photon-number noise, peaked at omega = -delta_omega."""
-
-    n_bar: float
-    kappa: float
-    delta_omega: float
-
-    def __call__(self, omega):
-        return (self.n_bar * self.kappa
-                / ((np.asarray(omega, dtype=float) + self.delta_omega) ** 2
-                   + self.kappa ** 2 / 4.0))
 
 
 @dataclass(frozen=True)
@@ -103,25 +85,13 @@ def _n_bar(params: SystemParams) -> float:
     return abs(params.steady_amplitude(params.delta_omega)) ** 2
 
 
-def number_correlator(params: SystemParams, tau):
-    """Photon-number fluctuation correlator n_bar e^(i dw tau - kappa|tau|/2).
-
-    Accepts scalar or array tau; C(-tau) = C(tau)* by construction.
-    """
-    tau = np.asarray(tau, dtype=float)
-    out = _n_bar(params) * np.exp(1j * params.delta_omega * tau
-                                  - 0.5 * params.kappa * np.abs(tau))
-    return complex(out) if out.ndim == 0 else out
-
-
-def noise_spectrum(params: SystemParams) -> NoiseSpectrum:
-    return NoiseSpectrum(n_bar=_n_bar(params), kappa=params.kappa,
-                         delta_omega=params.delta_omega)
-
-
 def spectral_density(params: SystemParams, omega: float) -> float:
-    """Full-axis transform of the correlator: n_bar kappa / ((w+dw)^2 + kappa^2/4)."""
-    return float(noise_spectrum(params)(omega))
+    """Lorentzian photon-number noise spectrum, peaked at omega = -delta_omega:
+    n_bar kappa / ((omega + delta_omega)^2 + kappa^2/4), the full-axis
+    transform of the number correlator n_bar e^(i dw tau - kappa|tau|/2)."""
+    return float(_n_bar(params) * params.kappa
+                 / ((np.asarray(omega, dtype=float) + params.delta_omega) ** 2
+                    + params.kappa ** 2 / 4.0))
 
 
 def rates(params: SystemParams, basis: QubitEigenbasis) -> RateSet:
@@ -130,14 +100,13 @@ def rates(params: SystemParams, basis: QubitEigenbasis) -> RateSet:
     gamma_down = g^2 sin^2(eta) S(E), gamma_up = g^2 sin^2(eta) S(-E),
     gamma_phi_pure = g^2 cos^2(eta) S(0).
     """
-    s = noise_spectrum(params)
     w01 = basis.splitting
     g2 = params.g ** 2
     sin2 = math.sin(basis.eta) ** 2
     cos2 = math.cos(basis.eta) ** 2
-    gamma_down = g2 * sin2 * float(s(w01))
-    gamma_up = g2 * sin2 * float(s(-w01))
-    gamma_phi_pure = g2 * cos2 * float(s(0.0))
+    gamma_down = g2 * sin2 * spectral_density(params, w01)
+    gamma_up = g2 * sin2 * spectral_density(params, -w01)
+    gamma_phi_pure = g2 * cos2 * spectral_density(params, 0.0)
     gamma_phi = 0.5 * (gamma_up + gamma_down) + gamma_phi_pure
 
     if gamma_down == 0.0 and gamma_up > 0.0:
@@ -179,21 +148,6 @@ def _interaction_sigma(basis: QubitEigenbasis, t):
     energies = _ENERGY_SIGN * basis.splitting
     de = energies[:, None] - energies[None, :]
     return np.exp(1j * de * t) * _sigma_n_matrix(basis), de
-
-
-def redfield_tensor(params: SystemParams, basis: QubitEigenbasis,
-                    t: float, tau: float) -> np.ndarray:
-    """Second-order memory tensor M(t, tau), shape (2, 2, 2, 2).
-
-    rho'_{kk'}(t) = -Integral_0^t dtau Sum_{ll'} M_{kk'll'}(t, tau) rho_{ll'}(t)
-    with sigma_n taken to the interaction picture of the qubit splitting and
-    the resonator traced against number_correlator.  Sum_k M_{kkll'} = 0
-    identically (trace preservation).
-    """
-    sig_t, _ = _interaction_sigma(basis, t)
-    sig_tm, _ = _interaction_sigma(basis, t - tau)
-    c = complex(number_correlator(params, tau))
-    return params.g ** 2 * _assemble(sig_t, c * sig_tm, np.conj(c) * sig_tm)
 
 
 def _memory_kernel(params: SystemParams, basis: QubitEigenbasis,

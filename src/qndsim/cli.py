@@ -90,16 +90,16 @@ class RunConfig:
     mode: str = ""
     output: Optional[str] = None
 
-    @property
-    def resolved_s_ii(self) -> float:
-        return self.system_params().s_ii
-
     def system_params(self, **replacements) -> SystemParams:
         kw = {k: getattr(self, k) for k in _PARAM_KEYS}
         kw.update(replacements)
-        # kappa <= 0 is left for SystemParams to reject
-        if kw["s_ii"] is None and kw["kappa"] > 0.0:
-            kw["s_ii"] = 2.0 / kw["kappa"]
+        if kw["s_ii"] is None:
+            # a kappa <= 0 has no 2/kappa floor: s_ii keeps its default
+            # and SystemParams rejects the kappa
+            if kw["kappa"] > 0.0:
+                kw["s_ii"] = 2.0 / kw["kappa"]
+            else:
+                del kw["s_ii"]
         return SystemParams(**kw)
 
 
@@ -268,10 +268,12 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     if cfg.mode == "analytic":
         def per_value(v: float) -> tuple:
             p = cfg.system_params(**{cfg.sweep.param: float(v)})
-            sa = analytic.steady_amplitudes(p)
+            # n_plus at detuning dw + g (sigma_z = -1), n_minus at dw - g
             return (float(v),
                     analytic.outcome_probability(p, 1.0, MEASURE_TIME, +1),
-                    analytic.gamma_m(p), sa.n_plus, sa.n_minus)
+                    analytic.gamma_m(p),
+                    analytic.pointer_state(p, -1).amplitude ** 2,
+                    analytic.pointer_state(p, +1).amplitude ** 2)
 
         columns = (cfg.sweep.param, "p_measure_0", "gamma_m", "n_plus", "n_minus")
     elif cfg.mode == "backaction":

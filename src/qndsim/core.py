@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,9 +32,6 @@ __all__ = [
     "number_operator",
     "qubit_operator",
     "tensor",
-    "partial_trace",
-    "expectation",
-    "is_hermitian",
     "integrate",
     "expm_action",
 ]
@@ -57,6 +54,8 @@ class SystemParams:
     f            drive amplitude (>= 0)
     delta_omega  resonator-drive detuning at the operating point
     s_ii         white current-noise spectral density of the readout line
+
+    A non-finite field raises ValueError naming it, before any range check.
     """
 
     epsilon: float = 10.0
@@ -70,6 +69,10 @@ class SystemParams:
     s_ii: float = 20.0
 
     def __post_init__(self) -> None:
+        for fld in fields(self):
+            value = getattr(self, fld.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{fld.name} must be finite, got {value}")
         if not self.kappa > 0.0:
             raise ValueError(f"kappa must be > 0, got {self.kappa}")
         if not self.s_ii > 0.0:
@@ -82,16 +85,6 @@ class SystemParams:
             raise ValueError(f"gamma1 must be >= 0, got {self.gamma1}")
         if self.gamma2 < 0.0:
             raise ValueError(f"gamma2 must be >= 0, got {self.gamma2}")
-
-    @property
-    def dispersive_valid(self) -> bool:
-        """Whether the sigma_z-only analytic layer approximates the delta > 0
-        (sigma_n) master equation: the bias dominates the tunneling term,
-        delta < epsilon/10.
-
-        delta == 0 is exactly the sigma_z model, so it is always valid.
-        """
-        return self.delta == 0.0 or self.delta < self.epsilon / 10.0
 
     def steady_amplitude(self, det: float) -> complex:
         """Steady resonator amplitude -if/(kappa/2 + i det) at detuning det."""
@@ -155,12 +148,6 @@ class DensityMatrix:
         return cls(space, tensor(np.asarray(qubit, dtype=complex),
                                  np.asarray(fock, dtype=complex)))
 
-    def reduced_qubit(self) -> np.ndarray:
-        return partial_trace(self, "qubit")
-
-    def reduced_resonator(self) -> np.ndarray:
-        return partial_trace(self, "resonator")
-
 
 def fock_vacuum(space: FockSpace) -> np.ndarray:
     """|0><0| in the truncated resonator space."""
@@ -205,30 +192,6 @@ def tensor(qubit_part: np.ndarray, fock_part: np.ndarray) -> np.ndarray:
     if f.ndim != 2 or f.shape[0] != f.shape[1]:
         raise ValueError(f"resonator factor must be square, got {f.shape}")
     return np.kron(q, f)
-
-
-def partial_trace(rho: DensityMatrix, keep: str) -> np.ndarray:
-    """Trace out one subsystem; keep is 'qubit' or 'resonator'."""
-    dim = rho.space.dim
-    blocks = rho.matrix.reshape(2, dim, 2, dim)
-    if keep == "qubit":
-        return np.einsum("imjm->ij", blocks)
-    if keep == "resonator":
-        return np.einsum("imin->mn", blocks)
-    raise ValueError(f"keep must be 'qubit' or 'resonator', got {keep!r}")
-
-
-def expectation(rho: DensityMatrix, op: np.ndarray) -> complex:
-    """tr(op rho).  For Hermitian op the imaginary part is diagnostic only."""
-    op = np.asarray(op, dtype=complex)
-    if op.shape != rho.matrix.shape:
-        raise ValueError(f"operator shape {op.shape} does not match state "
-                         f"shape {rho.matrix.shape}")
-    return complex(np.einsum("ij,ji->", op, rho.matrix))
-
-
-def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
 def _state_errors(m: np.ndarray) -> tuple:

@@ -23,9 +23,8 @@ from time import perf_counter
 import numpy as np
 from scipy import integrate as sci_integrate
 
-from qndsim.analytic import (alpha_of_t, gamma_m, optimal_detuning, overlap_decay,
-                             pointer_state)
-from qndsim.backaction import eigenbasis, evolve_reduced, noise_spectrum, rates
+from qndsim.analytic import alpha_of_t, gamma_m, optimal_detuning, pointer_state
+from qndsim.backaction import eigenbasis, evolve_reduced, rates, spectral_density
 from qndsim.cli import main, parse_config, run_fig2, run_fig3
 from qndsim.core import (
     DensityMatrix,
@@ -35,13 +34,9 @@ from qndsim.core import (
     integrate,
     tensor,
 )
-from qndsim.lindblad import (
-    build_liouvillian,
-    coherence_solution,
-    conditional_amplitude,
-    evolve,
-    repeatability_experiment,
-)
+from qndsim.lindblad import build_liouvillian, evolve, repeatability_experiment
+
+from closed_forms import coherence_solution, conditional_amplitude
 
 # pinned master-equation operating point: conditioned detunings 0 and 0.6
 P_BASE = dict(epsilon=0.0, delta=0.0, g=0.3, kappa=0.1, f=0.05,
@@ -135,8 +130,11 @@ def test_criterion_2b_overlap_envelope():
     t0 = perf_counter()
     p, tg, rec = _dephasing_record()
     t, coh = tg[1:], rec.coherence01[1:]
+    ps_plus, ps_minus = pointer_state(p, -1), pointer_state(p, +1)
     envelope = np.array([0.5 * math.exp(-p.gamma2 * tk)
-                         * overlap_decay(p, tk).exact for tk in t])
+                         * math.exp(-abs(alpha_of_t(ps_plus, p.kappa, tk)
+                                         - alpha_of_t(ps_minus, p.kappa, tk)) ** 2
+                                    / 2.0) for tk in t])
     dev = np.abs(envelope * _emitted_field_overlap(p, tg)[1:] - coh) / coh
     excess = envelope / coh - 1.0
     bounded = bool(np.all(envelope >= coh * (1.0 - 1e-12)))
@@ -250,9 +248,8 @@ def test_criterion_5_rate_identities_over_random_draws():
                          s_ii=1.0)
         basis = eigenbasis(p.epsilon, p.delta)
         rs = rates(p, basis)
-        s = noise_spectrum(p)
         e = basis.splitting
-        spec_ratio = float(s(-e)) / float(s(e))
+        spec_ratio = spectral_density(p, -e) / spectral_density(p, e)
         worst_ratio = max(worst_ratio,
                           abs(rs.gamma_up / rs.gamma_down - spec_ratio)
                           / spec_ratio)
@@ -371,7 +368,7 @@ def test_criterion_8_integrated_noise_never_beats_zero_point():
     t0 = perf_counter()
     cfg = parse_config("", mode="fig2")
     rows = np.array(run_fig2(cfg).rows)
-    sel = rows[:, 1] * cfg.resolved_s_ii > 0.5
+    sel = rows[:, 1] * cfg.system_params().s_ii > 0.5
     n_checked = int(sel.sum())
     holds = bool(np.all(rows[sel, 3] <= rows[sel, 2]))
     elapsed = perf_counter() - t0

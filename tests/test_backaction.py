@@ -1,7 +1,9 @@
 """Unit tests for the detector back-action rates and reduced dynamics.
 
 Oracles: scipy quadrature of the correlator/spectrum pair and of the
-memory tensor over tau (for the closed-form kernel), scalar kernel calls
+memory tensor over tau (for the closed-form kernel; the correlator and
+the tensor are written below from their definitions, sharing no code
+with the kernel), scalar kernel calls
 (for the kernel over an array of times), scipy.linalg.expm of the 4x4
 markov rate generator (for the closed-form markov mode), an adaptive
 DOP853 solve driven by the scalar kernel (for time-dependent mode),
@@ -20,15 +22,7 @@ from hypothesis import strategies as st
 from scipy import integrate as sci_integrate
 
 from qndsim import backaction
-from qndsim.backaction import (
-    eigenbasis,
-    evolve_reduced,
-    noise_spectrum,
-    number_correlator,
-    rates,
-    redfield_tensor,
-    spectral_density,
-)
+from qndsim.backaction import eigenbasis, evolve_reduced, rates, spectral_density
 from qndsim.backaction import _memory_kernel
 from qndsim.core import (
     FockSpace,
@@ -46,6 +40,55 @@ from qndsim.lindblad import build_liouvillian
 P_SYM = SystemParams(epsilon=1.0, delta=0.1, g=0.05, kappa=0.1, f=0.3,
                      delta_omega=0.0, s_ii=20.0)
 B_SYM = eigenbasis(1.0, 0.1)
+
+
+# ---------------------------------------------------------------- references
+
+def number_correlator(p: SystemParams, tau):
+    """Photon-number fluctuation correlator n_bar e^(i dw tau - kappa|tau|/2)
+    of the bare driven cavity, n_bar = f^2/(kappa^2/4 + dw^2).
+
+    Accepts scalar or array tau; C(-tau) = C(tau)* by construction.
+    """
+    tau = np.asarray(tau, dtype=float)
+    n_bar = p.f ** 2 / (p.kappa ** 2 / 4.0 + p.delta_omega ** 2)
+    out = n_bar * np.exp(1j * p.delta_omega * tau - 0.5 * p.kappa * np.abs(tau))
+    return complex(out) if out.ndim == 0 else out
+
+
+def _interaction_sigma_n(p: SystemParams, basis, t: float) -> np.ndarray:
+    # the flux operator sigma_z in the interaction picture of the qubit
+    # Hamiltonian H = (epsilon/2) sigma_z + (delta/2) sigma_x, in the
+    # (down, up) basis: V+ e^(iHt) sigma_z e^(-iHt) V
+    h = 0.5 * np.array([[p.epsilon, p.delta], [p.delta, -p.epsilon]])
+    u = scipy.linalg.expm(1j * t * h)
+    v = np.column_stack([basis.down_state, basis.up_state])
+    return v.conj().T @ u @ np.diag([1.0, -1.0]) @ u.conj().T @ v
+
+
+def redfield_tensor(p: SystemParams, basis, t: float, tau: float) -> np.ndarray:
+    """Second-order memory tensor M(t, tau), shape (2, 2, 2, 2), from the
+    commutator form
+
+        M(t, tau) rho = g^2 (C(tau) [s(t), s(t - tau) rho]
+                             - C(tau)* [s(t), rho s(t - tau)])
+
+    with s the interaction-picture sigma_n and C the number correlator, so
+    that rho'_{kk'}(t) = -Integral_0^t dtau Sum_{ll'} M_{kk'll'}(t, tau)
+    rho_{ll'}(t).  M[..., l, l'] is M applied to the basis matrix |l><l'|.
+    """
+    s_t = _interaction_sigma_n(p, basis, t)
+    s_past = _interaction_sigma_n(p, basis, t - tau)
+    c = number_correlator(p, tau)
+    m = np.empty((2, 2, 2, 2), dtype=complex)
+    for l in range(2):
+        for q in range(2):
+            rho = np.zeros((2, 2), dtype=complex)
+            rho[l, q] = 1.0
+            left, right = s_past @ rho, rho @ s_past
+            m[:, :, l, q] = p.g ** 2 * (c * (s_t @ left - left @ s_t)
+                                        - np.conj(c) * (s_t @ right - right @ s_t))
+    return m
 
 
 # ---------------------------------------------------------------- eigenbasis
@@ -102,12 +145,12 @@ def test_spectrum_is_correlator_transform():
 def test_spectrum_normalization_and_peak():
     p = SystemParams(epsilon=1.0, g=0.05, kappa=0.3, f=0.4, delta_omega=0.25,
                      s_ii=1.0)
-    s = noise_spectrum(p)
     n_bar = p.f ** 2 / (p.kappa ** 2 / 4.0 + p.delta_omega ** 2)
-    total, _ = sci_integrate.quad(s, -np.inf, np.inf)
+    total, _ = sci_integrate.quad(lambda w: spectral_density(p, w), -np.inf, np.inf)
     assert total / (2.0 * math.pi) == pytest.approx(n_bar, rel=1e-10)
-    assert s(-p.delta_omega) == pytest.approx(4.0 * n_bar / p.kappa, rel=1e-13)
-    assert s(-p.delta_omega) > s(0.0) > s(1.0)
+    peak = spectral_density(p, -p.delta_omega)
+    assert peak == pytest.approx(4.0 * n_bar / p.kappa, rel=1e-13)
+    assert peak > spectral_density(p, 0.0) > spectral_density(p, 1.0)
 
 
 def test_number_correlator_matches_quantum_regression():
@@ -163,10 +206,9 @@ def test_rates_decomposition_and_balance():
         rs = rates(p, B_SYM)
         assert rs.gamma_phi == pytest.approx(
             0.5 * (rs.gamma_up + rs.gamma_down) + rs.gamma_phi_pure, abs=1e-15)
-        s = noise_spectrum(p)
         e = B_SYM.splitting
         assert rs.gamma_up / rs.gamma_down == pytest.approx(
-            float(s(-e)) / float(s(e)), rel=1e-12)
+            spectral_density(p, -e) / spectral_density(p, e), rel=1e-12)
         if math.isfinite(rs.t_eff):
             assert math.exp(-e / rs.t_eff) == pytest.approx(
                 rs.gamma_up / rs.gamma_down, rel=1e-12)

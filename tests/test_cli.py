@@ -54,11 +54,11 @@ def test_parse_config_defaults_and_comments():
     cfg = parse_config("", mode="fig3")
     assert cfg.kappa == 0.1 and cfg.fock_dim == 12 and cfg.mode == "fig3"
     assert cfg.s_ii is None
-    assert cfg.resolved_s_ii == pytest.approx(20.0)
+    assert cfg.system_params().s_ii == pytest.approx(20.0)
     cfg2 = parse_config("kappa = 0.4   # wider line\n\ns_ii = 7.5\n",
                         mode="fig2")
     assert cfg2.kappa == 0.4
-    assert cfg2.resolved_s_ii == 7.5
+    assert cfg2.system_params().s_ii == 7.5
 
 
 def test_parse_config_sweep_block():
@@ -231,7 +231,7 @@ def test_run_fig2_grid_shape_and_zero_point_rule():
     assert res.columns == ("delta_omega", "t", "p_zero_point", "p_backaction")
     assert len(res.rows) == 21 * 20
     rows = np.array(res.rows)
-    sel = rows[:, 1] * cfg.resolved_s_ii > 0.5
+    sel = rows[:, 1] * cfg.system_params().s_ii > 0.5
     assert sel.any()
     assert np.all(rows[sel, 3] <= rows[sel, 2])
 
@@ -274,8 +274,11 @@ def test_run_sweep_analytic_columns_and_values():
     mid = res.rows[5]
     p = parse_config(SWEEP_CFG, mode="analytic").system_params(delta_omega=0.0)
     assert mid[2] == pytest.approx(analytic.gamma_m(p), rel=1e-14)
-    sa = analytic.steady_amplitudes(p)
-    assert mid[3] == pytest.approx(sa.n_plus, rel=1e-14)
+    # n_plus and n_minus are f^2/(kappa^2/4 + (delta_omega +- g)^2)
+    for row in (mid, res.rows[8]):
+        for col, det in ((3, row[0] + p.g), (4, row[0] - p.g)):
+            assert row[col] == pytest.approx(
+                p.f ** 2 / (p.kappa ** 2 / 4.0 + det ** 2), rel=1e-14)
 
 
 def test_run_sweep_backaction_values():

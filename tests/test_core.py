@@ -1,7 +1,8 @@
 """Unit tests for the shared types, operators and the two propagators.
 
 Oracles: operator algebra identities (commutators, partial traces of
-products), hand-built Kronecker layouts, and the exact solution of
+products, with the test-side references of closed_forms checked here
+too), hand-built Kronecker layouts, and the exact solution of
 y' = c y for the RK4 order measurement and the Taylor propagator, with
 scipy.linalg.expm for the propagator's node copies.
 """
@@ -19,16 +20,15 @@ from qndsim.core import (
     NumericsError,
     SystemParams,
     annihilation,
-    expectation,
     expm_action,
     fock_vacuum,
     integrate,
-    is_hermitian,
     number_operator,
-    partial_trace,
     qubit_operator,
     tensor,
 )
+
+from closed_forms import expectation, partial_trace
 
 
 # ---------------------------------------------------------------- parameters
@@ -51,16 +51,16 @@ def test_system_params_defaults():
     (dict(f=-1.0), "f must be >= 0"),
     (dict(gamma1=-1e-3), "gamma1 must be >= 0"),
     (dict(gamma2=-1e-3), "gamma2 must be >= 0"),
+] + [
+    # a non-finite field is named before any range check sees it
+    (dict({name: bad}), f"^{name} must be finite, got {bad}$")
+    for name in ("epsilon", "delta", "g", "kappa", "gamma1", "gamma2", "f",
+                 "delta_omega", "s_ii")
+    for bad in (math.nan, math.inf, -math.inf)
 ])
 def test_system_params_validation(kw, fragment):
     with pytest.raises(ValueError, match=fragment):
         SystemParams(**kw)
-
-
-def test_dispersive_validity_flag():
-    assert SystemParams(epsilon=10.0, delta=0.0).dispersive_valid
-    assert SystemParams(epsilon=10.0, delta=0.5).dispersive_valid
-    assert not SystemParams(epsilon=1.0, delta=0.5).dispersive_valid
 
 
 def test_fock_space_validation():
@@ -126,8 +126,8 @@ def test_partial_trace_recovers_product_factors():
     qubit = np.array([[0.7, 0.1j], [-0.1j, 0.3]], dtype=complex)
     fock = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     rho = DensityMatrix.from_product(space, qubit, fock)
-    np.testing.assert_allclose(rho.reduced_qubit(), qubit, atol=1e-14)
-    np.testing.assert_allclose(rho.reduced_resonator(), fock, atol=1e-14)
+    np.testing.assert_allclose(partial_trace(rho, "qubit"), qubit, atol=1e-14)
+    np.testing.assert_allclose(partial_trace(rho, "resonator"), fock, atol=1e-14)
     with pytest.raises(ValueError, match="keep must be"):
         partial_trace(rho, "both")
 
@@ -142,11 +142,6 @@ def test_expectation_on_product_state():
     assert expectation(rho, sz_full) == pytest.approx(1.0)
     with pytest.raises(ValueError, match="does not match"):
         expectation(rho, np.eye(3))
-
-
-def test_is_hermitian():
-    assert is_hermitian(np.array([[1.0, 1j], [-1j, 2.0]]))
-    assert not is_hermitian(np.array([[1.0, 1j], [1j, 2.0]]))
 
 
 # ---------------------------------------------------------------- density matrix

@@ -26,7 +26,6 @@ from qndsim.core import (
     NumericsError,
     SystemParams,
     annihilation,
-    expectation,
     expm_action,
     fock_vacuum,
     integrate,
@@ -40,11 +39,12 @@ from qndsim.lindblad import (
     Liouvillian,
     _earliest_peak,
     build_liouvillian,
-    coherence_solution,
-    conditional_amplitude,
     evolve,
     repeatability_experiment,
 )
+
+from closed_forms import (coherence_solution, conditional_amplitude, expectation,
+                          partial_trace)
 
 # the weak-drive operating point exercised throughout: conditioned
 # detunings 0 and 0.6, about one steady photon in the shifted sector
@@ -547,7 +547,7 @@ def test_evolve_observables_match_operator_traces(seed, fock_dim, **phys):
             assert getattr(rec, name)[k] == pytest.approx(ref, rel=1e-12,
                                                           abs=1e-14), name
         assert rec.coherence01[k] == pytest.approx(
-            abs(st.reduced_qubit()[0, 1]), rel=1e-12, abs=1e-14)
+            abs(partial_trace(st, "qubit")[0, 1]), rel=1e-12, abs=1e-14)
 
 
 def test_evolve_projects_rho0_onto_its_hermitian_part():
@@ -737,7 +737,6 @@ def test_repeated_measurements_agree_in_sigma_z_mode():
     stats = repeatability_experiment(liou, plus_vacuum(space),
                                      t_meas=20.0, n_meas=3)
     np.testing.assert_allclose(stats.pair_agreement, 1.0, atol=1e-12)
-    assert stats.mean_agreement == pytest.approx(1.0, abs=1e-12)
     assert stats.n_branches == 2
     assert stats.valid
 

@@ -73,7 +73,7 @@ def alpha_of_t(ps: PointerState, kappa: float, t):
     conditional master-equation amplitude.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
+    if not np.all(t >= 0.0):
         raise ValueError("t must be >= 0")
     decay = np.exp(-(1j * ps.detuning + kappa / 2.0) * t)
     out = ps.steady_value() * (1.0 - decay)
@@ -126,7 +126,7 @@ def outcome_probability(params: SystemParams, sz0: float, t,
         raise ValueError(f"|sz0| must be <= 1, got {sz0}")
     t = np.asarray(t, dtype=float)
     times = t.ravel().tolist()
-    if any(tk < 0.0 for tk in times):
+    if any(not tk >= 0.0 for tk in times):
         raise ValueError("t must be >= 0")
     amp = float(abs(signal_amplitude(params)))
     sign = outcome * sz0
@@ -136,7 +136,7 @@ def outcome_probability(params: SystemParams, sz0: float, t,
             probs.append(0.5)
             continue
         var = params.s_ii * tk if variance is None else float(variance)
-        if var <= 0.0:
+        if not var > 0.0:
             raise ValueError(f"variance must be > 0, got {var}")
         probs.append(0.5 * (1.0 + sign * math.erf(amp * tk / math.sqrt(2.0 * var))))
     return probs[0] if t.ndim == 0 else np.array(probs).reshape(t.shape)

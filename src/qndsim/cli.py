@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,7 +26,6 @@ from .core import (DensityMatrix, FockSpace, NumericsError, SystemParams,
 __all__ = [
     "ConfigError",
     "RunConfig",
-    "SweepSpec",
     "SweepResult",
     "parse_config",
     "emit_csv",
@@ -45,12 +44,13 @@ MODES = ("analytic", "lindblad", "backaction", "fig2", "fig3", "repeat")
 MEASURE_TIME = 0.1
 FIG3_KAPPAS = (0.1, 0.2, 0.3, 0.4)
 
-_PARAM_KEYS = ("epsilon", "delta", "g", "kappa", "gamma1", "gamma2", "f",
-               "delta_omega", "s_ii")
-_FLOAT_KEYS = _PARAM_KEYS + ("t_max", "t_step", "sweep_start", "sweep_stop")
-_INT_KEYS = ("fock_dim", "sweep_count")
-_STR_KEYS = ("output", "sweep_param")
-_ALL_KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
+# every config key and the type its value parses as; the physics keys are
+# SystemParams' fields, whose defaults are the config's
+_PHYSICS_KEYS = tuple(fld.name for fld in fields(SystemParams))
+_KEY_TYPES = {**dict.fromkeys(_PHYSICS_KEYS, float), "t_max": float,
+              "t_step": float, "fock_dim": int, "sweep_param": str,
+              "sweep_start": float, "sweep_stop": float, "sweep_count": int}
+_SWEEP_KEYS = tuple(k for k in _KEY_TYPES if k.startswith("sweep_"))
 
 
 class ConfigError(Exception):
@@ -58,48 +58,34 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    param: str
-    start: float
-    stop: float
-    count: int
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    """One validated run: physical parameters, time grid, sweep and output.
+    """One validated run: the mode, the physics keys the config set, the
+    time grid, Fock truncation and sweep.
 
-    s_ii = None means 2/kappa of the kappa in use, resolved by
-    system_params after its replacements, so a swept kappa gets its own
-    floor; run_fig3 always sets 2/kappa per linewidth.
+    physics holds only the keys given; system_params fills the rest from
+    SystemParams' defaults, except that an unset s_ii is 2/kappa of the
+    kappa in use, resolved after the replacements so a swept kappa gets
+    its own floor (run_fig3 always sets 2/kappa per linewidth).  The
+    sweep_* fields are all None or all set.
     """
 
-    epsilon: float = 10.0
-    delta: float = 0.0
-    g: float = 0.3
-    kappa: float = 0.1
-    gamma1: float = 0.0
-    gamma2: float = 0.0
-    f: float = 1.0
-    delta_omega: float = 0.0
-    s_ii: Optional[float] = None
+    mode: str
+    physics: dict = field(default_factory=dict)
     fock_dim: int = 12
     t_max: float = 2.0
     t_step: float = 0.01
-    sweep: Optional[SweepSpec] = None
-    mode: str = ""
-    output: Optional[str] = None
+    sweep_param: Optional[str] = None
+    sweep_start: Optional[float] = None
+    sweep_stop: Optional[float] = None
+    sweep_count: Optional[int] = None
 
     def system_params(self, **replacements) -> SystemParams:
-        kw = {k: getattr(self, k) for k in _PARAM_KEYS}
-        kw.update(replacements)
-        if kw["s_ii"] is None:
-            # a kappa <= 0 has no 2/kappa floor: s_ii keeps its default
-            # and SystemParams rejects the kappa
-            if kw["kappa"] > 0.0:
-                kw["s_ii"] = 2.0 / kw["kappa"]
-            else:
-                del kw["s_ii"]
+        kw = {**self.physics, **replacements}
+        kappa = kw.get("kappa", SystemParams.kappa)
+        # a kappa <= 0 has no 2/kappa floor: s_ii keeps its default and
+        # SystemParams rejects the kappa
+        if "s_ii" not in kw and kappa > 0.0:
+            kw["s_ii"] = 2.0 / kappa
         return SystemParams(**kw)
 
 
@@ -120,7 +106,7 @@ def _parse_kv_lines(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -131,68 +117,61 @@ def _parse_kv_lines(text: str) -> dict:
 
 
 def _convert(key: str, value: str, where: str):
+    kind = _KEY_TYPES[key]
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key not in _FLOAT_KEYS:
-            return value
-        number = float(value)
+        converted = kind(value)
     except ValueError:
-        kind = "integer" if key in _INT_KEYS else "number"
-        raise ConfigError(f"{where}: malformed {kind} for {key!r}: {value!r}") from None
-    if not math.isfinite(number):
+        name = "integer" if kind is int else "number"
+        raise ConfigError(f"{where}: malformed {name} for {key!r}: {value!r}") from None
+    if kind is float and not math.isfinite(converted):
         raise ConfigError(f"{where}: non-finite number for {key!r}: {value!r}")
-    return number
+    return converted
 
 
 def parse_config(text: str, mode: str,
                  overrides: Optional[dict] = None) -> RunConfig:
     """Parse and validate a config; mode comes from the command line.
 
-    overrides (key -> value, from --set, then -o) apply after the file
-    text.  Raises ConfigError naming the offending line/key.
+    overrides (key -> value, from --set) apply after the file text.  The
+    grid keys are checked only for the modes that read them: t_max by
+    fig2, lindblad and repeat, t_step by lindblad, fock_dim by lindblad
+    and repeat.  Raises ConfigError naming the offending line/key.
     """
     raw = _parse_kv_lines(text)
     converted = {k: _convert(k, v, f"line {ln}") for k, (ln, v) in raw.items()}
     for key, value in (overrides or {}).items():
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"override: unknown key {key!r}")
         converted[key] = _convert(key, str(value), "override")
 
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
 
-    sweep_keys = {k: converted.pop(k) for k in
-                  ("sweep_param", "sweep_start", "sweep_stop", "sweep_count")
-                  if k in converted}
-    sweep = None
-    if sweep_keys:
-        missing = [k for k in ("sweep_param", "sweep_start", "sweep_stop",
-                               "sweep_count") if k not in sweep_keys]
+    if any(k in converted for k in _SWEEP_KEYS):
+        missing = [k for k in _SWEEP_KEYS if k not in converted]
         if missing:
             raise ConfigError(f"incomplete sweep: missing {', '.join(missing)}")
-        if sweep_keys["sweep_param"] not in _PARAM_KEYS:
-            raise ConfigError(f"sweep_param must be one of {_PARAM_KEYS}, "
-                              f"got {sweep_keys['sweep_param']!r}")
-        if sweep_keys["sweep_count"] < 2:
-            raise ConfigError(f"sweep_count must be >= 2, got {sweep_keys['sweep_count']}")
-        sweep = SweepSpec(param=sweep_keys["sweep_param"],
-                          start=sweep_keys["sweep_start"],
-                          stop=sweep_keys["sweep_stop"],
-                          count=sweep_keys["sweep_count"])
+        if converted["sweep_param"] not in _PHYSICS_KEYS:
+            raise ConfigError(f"sweep_param must be one of {_PHYSICS_KEYS}, "
+                              f"got {converted['sweep_param']!r}")
+        if converted["sweep_count"] < 2:
+            raise ConfigError(f"sweep_count must be >= 2, got {converted['sweep_count']}")
 
-    cfg = RunConfig(**converted, sweep=sweep, mode=mode)
-    if cfg.t_step <= 0.0:
-        raise ConfigError(f"t_step must be > 0, got {cfg.t_step}")
-    if cfg.t_max < cfg.t_step:
-        raise ConfigError(f"t_max must be >= t_step, got {cfg.t_max}")
+    physics = {k: converted.pop(k) for k in _PHYSICS_KEYS if k in converted}
+    cfg = RunConfig(mode=mode, physics=physics, **converted)
     if mode == "lindblad":
+        if cfg.t_step <= 0.0:
+            raise ConfigError(f"t_step must be > 0, got {cfg.t_step}")
+        if cfg.t_max < cfg.t_step:
+            raise ConfigError(f"t_max must be >= t_step, got {cfg.t_max}")
         nearest = _grid_intervals(cfg) * cfg.t_step
         if abs(nearest - cfg.t_max) > 1e-9 * cfg.t_max:
             raise ConfigError(f"t_max = {cfg.t_max:g} is not a multiple of "
                               f"t_step = {cfg.t_step:g}; nearest valid t_max "
                               f"is {nearest:.12g}")
-    if cfg.fock_dim < 2:
+    elif mode in ("fig2", "repeat") and cfg.t_max <= 0.0:
+        raise ConfigError(f"t_max must be > 0, got {cfg.t_max}")
+    if mode in ("lindblad", "repeat") and cfg.fock_dim < 2:
         raise ConfigError(f"fock_dim must be >= 2, got {cfg.fock_dim}")
     try:
         cfg.system_params()
@@ -261,13 +240,13 @@ def run_fig3(cfg: RunConfig, n_detuning: int = 201) -> SweepResult:
 
 def run_sweep(cfg: RunConfig) -> SweepResult:
     """One-parameter closed-form sweep (modes analytic and backaction)."""
-    if cfg.sweep is None:
+    if cfg.sweep_param is None:
         raise ConfigError(f"mode {cfg.mode!r} requires sweep_* keys")
-    grid = np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.count)
+    grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
 
     if cfg.mode == "analytic":
         def per_value(v: float) -> tuple:
-            p = cfg.system_params(**{cfg.sweep.param: float(v)})
+            p = cfg.system_params(**{cfg.sweep_param: float(v)})
             # n_plus at detuning dw + g (sigma_z = -1), n_minus at dw - g
             return (float(v),
                     analytic.outcome_probability(p, 1.0, MEASURE_TIME, +1),
@@ -275,17 +254,17 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
                     analytic.pointer_state(p, -1).amplitude ** 2,
                     analytic.pointer_state(p, +1).amplitude ** 2)
 
-        columns = (cfg.sweep.param, "p_measure_0", "gamma_m", "n_plus", "n_minus")
+        columns = (cfg.sweep_param, "p_measure_0", "gamma_m", "n_plus", "n_minus")
     elif cfg.mode == "backaction":
         def per_value(v: float) -> tuple:
-            p = cfg.system_params(**{cfg.sweep.param: float(v)})
+            p = cfg.system_params(**{cfg.sweep_param: float(v)})
             basis = backaction.eigenbasis(p.epsilon, p.delta)
             rs = backaction.rates(p, basis)
             return (float(v), rs.gamma_up, rs.gamma_down, rs.gamma_phi,
                     rs.gamma_phi_pure, rs.t_eff,
                     backaction.spectral_density(p, 0.0))
 
-        columns = (cfg.sweep.param, "gamma_up", "gamma_down", "gamma_phi",
+        columns = (cfg.sweep_param, "gamma_up", "gamma_down", "gamma_phi",
                    "gamma_phi_pure", "t_eff", "s_nn_zero")
     else:
         raise ConfigError(f"mode {cfg.mode!r} does not take a sweep")
@@ -298,7 +277,7 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
 
 
 def _grid_intervals(cfg: RunConfig) -> int:
-    # parse_config guarantees t_max >= t_step, so this is >= 1
+    # for lindblad, parse_config guarantees t_max >= t_step, so this is >= 1
     return int(round(cfg.t_max / cfg.t_step))
 
 
@@ -390,8 +369,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if not sep:
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
             overrides[key.strip()] = value.strip()
-        if args.output:
-            overrides["output"] = args.output
 
         cfg = parse_config(text, args.mode, overrides)
 
@@ -407,8 +384,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             result, truncation = run_repeat(cfg)
 
-        out = emit_csv(result, cfg.output)
-        if cfg.output is None:
+        # an empty -o, like none, means stdout
+        out = emit_csv(result, args.output or None)
+        if not args.output:
             sys.stdout.write(out)
         if truncation is not None:
             print(f"error: top Fock levels exceeded the truncation threshold "

@@ -104,8 +104,10 @@ def test_alpha_of_t_endpoints():
     assert alpha_of_t(ps, P_FIG.kappa, 0.0) == 0.0
     late = alpha_of_t(ps, P_FIG.kappa, 1000.0)
     assert late == pytest.approx(ps.steady_value(), rel=1e-12)
-    with pytest.raises(ValueError, match="t must be >= 0"):
-        alpha_of_t(ps, P_FIG.kappa, -1.0)
+    # a NaN time is rejected like a negative one, alone or in an array
+    for t in (-1.0, math.nan, [0.1, math.nan]):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            alpha_of_t(ps, P_FIG.kappa, t)
 
 
 def test_steady_amplitudes_frozen():
@@ -279,10 +281,12 @@ def test_outcome_probability_validation():
     for sz0 in (1.5, math.nan):
         with pytest.raises(ValueError, match="sz0"):
             outcome_probability(P_FIG, sz0, 1.0, +1)
-    with pytest.raises(ValueError, match="t must be >= 0"):
-        outcome_probability(P_FIG, 1.0, -1.0, +1)
-    with pytest.raises(ValueError, match="variance must be > 0"):
-        outcome_probability(P_FIG, 1.0, 1.0, +1, variance=0.0)
+    for t in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            outcome_probability(P_FIG, 1.0, t, +1)
+    for variance in (0.0, math.nan):
+        with pytest.raises(ValueError, match="variance must be > 0"):
+            outcome_probability(P_FIG, 1.0, 1.0, +1, variance=variance)
 
 
 def _scalar_outcome_probability(params, sz0, t, outcome, variance=None):
@@ -351,6 +355,8 @@ def test_outcome_probability_array_validation():
         outcome_probability(P_FIG, 1.0, t, +1)
     with pytest.raises(ValueError, match="t must be >= 0"):
         outcome_probability(P_FIG, 1.0, t, +1, variance=0.5)
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        outcome_probability(P_FIG, 1.0, np.array([0.1, math.nan]), +1)
     live = np.array([0.0, 0.5, 1.0])
     with pytest.raises(ValueError, match="variance must be > 0"):
         outcome_probability(P_FIG, 1.0, live, +1, variance=0.0)

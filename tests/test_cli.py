@@ -10,6 +10,7 @@ import math
 import os
 import struct
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,8 @@ from hypothesis import strategies as st
 
 from qndsim import analytic, backaction, cli
 from qndsim.cli import (
+    MODES,
     ConfigError,
-    RunConfig,
     SweepResult,
     _time_grid,
     emit_csv,
@@ -33,6 +34,7 @@ from qndsim.cli import (
     run_repeat,
     run_sweep,
 )
+from qndsim.core import SystemParams
 
 DATA = Path(__file__).parent / "data"
 
@@ -52,20 +54,20 @@ sweep_count = 11
 
 def test_parse_config_defaults_and_comments():
     cfg = parse_config("", mode="fig3")
-    assert cfg.kappa == 0.1 and cfg.fock_dim == 12 and cfg.mode == "fig3"
-    assert cfg.s_ii is None
+    assert cfg.physics == {} and cfg.fock_dim == 12 and cfg.mode == "fig3"
+    assert cfg.system_params().kappa == 0.1
     assert cfg.system_params().s_ii == pytest.approx(20.0)
     cfg2 = parse_config("kappa = 0.4   # wider line\n\ns_ii = 7.5\n",
                         mode="fig2")
-    assert cfg2.kappa == 0.4
+    assert cfg2.physics == {"kappa": 0.4, "s_ii": 7.5}
     assert cfg2.system_params().s_ii == 7.5
 
 
 def test_parse_config_sweep_block():
     cfg = parse_config(SWEEP_CFG, mode="analytic")
-    assert cfg.sweep.param == "delta_omega"
-    assert cfg.sweep.count == 11
-    assert cfg.g == 0.3 and cfg.kappa == 0.2
+    assert cfg.sweep_param == "delta_omega"
+    assert cfg.sweep_count == 11
+    assert cfg.physics["g"] == 0.3 and cfg.physics["kappa"] == 0.2
 
 
 @pytest.mark.parametrize("text, mode, fragment", [
@@ -90,6 +92,11 @@ def test_parse_config_sweep_block():
     ("kappa = 0\n", "fig3", "kappa must be > 0"),
     ("g = nan\n", "fig3", "line 1: non-finite number for 'g'"),
     ("t_step = 0.01\nt_max = inf\n", "fig2", "line 2: non-finite number for 't_max'"),
+    ("output = x.csv\n", "fig3", "line 1: unknown key 'output'"),
+    ("t_max = 0\n", "fig2", "t_max must be > 0"),
+    ("t_max = 0\n", "repeat", "t_max must be > 0"),
+    ("t_max = -1\n", "repeat", "t_max must be > 0"),
+    ("fock_dim = 1\n", "repeat", "fock_dim must be >= 2"),
 ])
 def test_parse_config_rejections(text, mode, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -99,7 +106,7 @@ def test_parse_config_rejections(text, mode, fragment):
 def test_parse_config_overrides():
     cfg = parse_config("kappa = 0.1\n", mode="fig3",
                        overrides={"kappa": "0.3", "fock_dim": "16"})
-    assert cfg.kappa == 0.3 and cfg.fock_dim == 16
+    assert cfg.physics["kappa"] == 0.3 and cfg.fock_dim == 16
     with pytest.raises(ConfigError, match="override: unknown key"):
         parse_config("", mode="fig3", overrides={"qqq": "1"})
     with pytest.raises(ConfigError, match="override: non-finite number for 'sweep_stop'"):
@@ -114,7 +121,6 @@ _CONFIG_VALUES = {
     "gamma1": st.floats(0.0, 1.0), "gamma2": st.floats(0.0, 1.0),
     "f": st.floats(0.0, 3.0), "delta_omega": st.floats(-3.0, 3.0),
     "s_ii": st.floats(1e-3, 50.0), "fock_dim": st.integers(2, 64),
-    "output": st.sampled_from(["a.csv", "out/b.csv"]),
 }
 
 
@@ -155,6 +161,41 @@ def test_parse_config_overrides_equal_text(keys, overridden, mode):
     via_set = parse_config(_config_text(text_keys), mode=mode,
                            overrides=overrides)
     assert via_set == parse_config(_config_text(keys), mode=mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_cli_defaults_are_system_params_defaults(mode):
+    # the config writes no physics default of its own: an empty config is
+    # SystemParams' defaults with the 2/kappa noise floor
+    assert parse_config("", mode=mode).system_params() == \
+        SystemParams(s_ii=2.0 / SystemParams.kappa)
+
+
+def test_config_physics_keys_are_system_params_fields():
+    names = [fld.name for fld in fields(SystemParams)]
+    grid_and_sweep = {"t_max", "t_step", "fock_dim", "sweep_param",
+                      "sweep_start", "sweep_stop", "sweep_count"}
+    assert sorted(set(cli._KEY_TYPES) - grid_and_sweep) == sorted(names)
+    for name in names:
+        cfg = parse_config(f"{name} = 0.5\n", mode="fig3")
+        assert cfg.physics == {name: 0.5}
+        assert getattr(cfg.system_params(), name) == 0.5
+
+
+def test_grid_keys_checked_only_for_modes_that_read_them():
+    # t_step is read by lindblad only, t_max by fig2, lindblad and repeat,
+    # fock_dim by lindblad and repeat
+    default = io.StringIO()
+    with redirect_stdout(default):
+        assert main(["fig3"]) == 0
+    for mode in ("fig3", "analytic", "backaction"):
+        parse_config("t_step = 5\nt_max = 0\nfock_dim = 1\n", mode=mode)
+    parse_config("t_max = 0.005\nt_step = 0\nfock_dim = 1\n", mode="fig2")
+    parse_config("t_max = 0.005\nt_step = 0\n", mode="repeat")
+    wide_step = io.StringIO()
+    with redirect_stdout(wide_step):
+        assert main(["fig3", "--set", "t_step=5"]) == 0
+    assert wide_step.getvalue() == default.getvalue()
 
 
 def test_system_params_resolution():
@@ -476,16 +517,18 @@ def test_main_thread_count_does_not_change_bytes(tmp_path):
     assert out1.read_bytes() == out3.read_bytes()
 
 
-
-def test_main_threads_and_output_flags_go_through_parse_config(tmp_path, monkeypatch):
+def test_main_ignores_threads_and_takes_output_only_from_o(tmp_path, monkeypatch):
     # --threads is parsed and ignored, whatever its value
-    seen = []
-    monkeypatch.setattr(cli, "run_fig3",
-                        lambda cfg: seen.append(cfg) or SweepResult(("x",), []))
+    monkeypatch.setattr(cli, "run_fig3", lambda cfg: SweepResult(("x",), []))
     assert main(["fig3", "--threads", "0"]) == 0
-    # -o reaches the config and wins over --set
     out = tmp_path / "f.csv"
-    assert main(["fig3", "--set", "output=other.csv", "--threads", "3",
-                 "-o", str(out)]) == 0
-    assert seen[1].output == str(out)
+    assert main(["fig3", "--threads", "3", "-o", str(out)]) == 0
     assert out.read_text() == "x\n"
+    # -o is the one route to the output path: there is no output key
+    cfg = _write(tmp_path, "o.cfg", "output = other.csv\n")
+    for argv in (["fig3", "--set", "output=other.csv", "-o", str(out)],
+                 ["fig3", "-c", cfg]):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert main(argv) == 2
+        assert "unknown key 'output'" in err.getvalue()

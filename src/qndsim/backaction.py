@@ -238,13 +238,13 @@ def evolve_reduced(params: SystemParams, basis: QubitEigenbasis,
                 gens = -_memory_kernel(params, basis, stages).reshape(-1, 4, 4)
                 generators.clear()
                 generators.update(zip(stages.tolist(), gens))
-            return (generators[tk] @ y.reshape(4)).reshape(2, 2)
+            return generators[tk] @ y
 
-        mats = integrate(rhs, rho0, t, step)
+        mats = integrate(rhs, rho0.reshape(4), t, step)
     else:
         raise ValueError(f"mode must be 'markov' or 'time_dependent', got {mode!r}")
 
-    out = np.stack(mats)
+    out = np.stack(mats).reshape(-1, 2, 2)
     tr_dev, herm = _state_errors(out)
     bad = np.flatnonzero((tr_dev > 1e-8) | (herm > 1e-9))
     if bad.size:

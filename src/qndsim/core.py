@@ -2,9 +2,8 @@
 
 integrate is fixed-step RK4 for a time-dependent right-hand side;
 expm_action propagates a constant linear operator exactly (to double
-precision) through its truncated Taylor series, planned once over the
-whole time span, with every reporting node evaluated from the terms of
-the step that contains it.
+precision) by its Taylor series, reading each reporting node off the
+terms of the step that contains it.
 
 Conventions used across the package: hbar = 1 and every frequency, rate
 and coupling is an angular frequency in 1/ns (figure-caption values quoted
@@ -54,8 +53,6 @@ class SystemParams:
     f            drive amplitude (>= 0)
     delta_omega  resonator-drive detuning at the operating point
     s_ii         white current-noise spectral density of the readout line
-
-    A non-finite field raises ValueError naming it, before any range check.
     """
 
     epsilon: float = 10.0
@@ -113,12 +110,8 @@ _EIG_TOL = 1e-7
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Joint qubit (x) resonator state, validated on construction.
-
-    The matrix is 2*dim x 2*dim complex with unit trace (within 1e-9),
-    Hermitian (within 1e-10 entrywise) and no eigenvalue below -1e-7
-    (see _eigenvalue_below).
-    """
+    """Joint qubit (x) resonator state: a 2*dim x 2*dim complex matrix,
+    checked on construction against the tolerances above."""
 
     space: FockSpace
     matrix: np.ndarray
@@ -196,8 +189,7 @@ def tensor(qubit_part: np.ndarray, fock_part: np.ndarray) -> np.ndarray:
 
 def _state_errors(m: np.ndarray) -> tuple:
     """|tr m - 1| and the largest |m - m^dagger| entry of a density matrix,
-    or of each matrix in a stack (..., n, n).  The caller compares them
-    with its own floors."""
+    or of each matrix in a stack (..., n, n)."""
     tr_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
     herm = np.abs(m - np.swapaxes(m, -2, -1).conj()).max(axis=(-2, -1))
     return tr_dev, herm
@@ -256,13 +248,10 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
               step: float) -> list[np.ndarray]:
     """Fixed-step RK4 from t_grid[0] = 0, reporting the state at each node.
 
-    Each grid interval [t0, t1] is split into ceil(dt/step) equal substeps
-    of length h so the integrator lands exactly on every node.  The step
-    never exceeds `step` or the local grid spacing.  Substep i starts at
-    tk = t0 + i*h, taken from the index rather than accumulated, so rhs is
-    called at exactly tk, tk + 0.5*h and tk + h and a caller can tabulate
-    those times in advance from _substep_plan.  Raises NumericsError on
-    non-finite values, identifying the time at which they appeared.
+    Each grid interval takes _substep_plan's substeps, substep i starting
+    at tk = t0 + i*h (from the index, not accumulated), so rhs is called
+    at exactly tk, tk + 0.5*h and tk + h, times a caller can tabulate in
+    advance.  Raises NumericsError on non-finite values, naming the time.
     """
     plan = _substep_plan(_check_grid(t_grid), step)
 
@@ -296,6 +285,9 @@ _STOP_TOL = _TAYLOR_TOL / math.sqrt(2.0)
 # for a partial sum y, y_bound (its start's norm plus its terms') times
 # _STOP_BOUND >= _inf_norm(y) * _STOP_TOL, the margin covering rounding
 _STOP_BOUND = _STOP_TOL * (1.0 + 1e-12)
+# bytes of Taylor-term rows per expm_action call: 6 rows at fock_dim 12,
+# the floor of 2 from 18 up
+_BLOCK_BYTES = 56 * 1024
 
 
 def _taylor_plan(x: float) -> tuple[int, int]:
@@ -315,43 +307,43 @@ def _inf_norm(y: np.ndarray) -> float:
     return float(np.abs(y.reshape(-1).view(float)).max())
 
 
+def _block_rows(y: np.ndarray) -> int:
+    return min(max(_BLOCK_BYTES // y.nbytes, 2), 8)
+
+
 def expm_action(apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 y0: np.ndarray,
                 t_grid: Sequence[float],
                 norm: float) -> list[np.ndarray]:
     """exp(A t) y0 at every node of t_grid (which starts at 0), for a
     constant linear operator A given only through apply(y, out), which
-    writes A y into the preallocated complex array out (same shape as y,
+    writes A y into the C-contiguous complex array out (shaped like y,
     never overlapping it) and returns out.
 
-    norm bounds the 1-norm of A acting on y flattened.  One plan covers
-    the whole span t_grid[-1]: s equal steps of length h of the Taylor
-    series of degree m <= 55, with (m, s) from the Al-Mohy-Higham theta_m
-    table, step i starting at i*h.  Each step builds its terms T_j once
-    and gives every node inside it as the same series at its offset,
-    sum_j r^j T_j with r = (t_node - i*h)/h (dense output), so the number
-    of apply calls does not depend on how many nodes the grid has; a node
-    exactly on a step end is that step's partial sum.  A step stops early
-    once two consecutive terms fall below 2^-53/sqrt(2) times the partial
-    sum, at the step end and, with their weights r^j, at every node inside
-    it, in the max-abs norm over real and imaginary parts (never earlier
-    than the same test at 2^-53 in the complex max-abs norm), taking the
-    partial sum's norm only when its bound lets the test pass.  The terms
-    alternate between two buffers, each weighted term is formed in the one
-    apply has just read, and the sums accumulate in place, so no
-    state-sized array is allocated per term; each returned node is its own
-    array and y0 is left untouched.  Raises NumericsError on non-finite
-    values, identifying the step end at which they appeared.
+    norm bounds the 1-norm of A on y flattened.  One plan covers the span:
+    s steps of length h of the degree-m Taylor series, (m, s) from the
+    theta_m table.  A node in step i is sum_j r^j T_j over that step's
+    terms, r = (t_node - i*h)/h, so apply calls do not depend on the
+    number of nodes; a node on a step end is its partial sum.  A step
+    stops once two consecutive terms fall below _STOP_TOL of the partial
+    sum, at its end and, weighted by r^j, at each node in it.  The terms
+    go into a block of c = _block_rows(y0) rows; every c - 1 terms, and
+    whenever the end test passes, each node adds the run by one dot.
+    Nodes are fresh arrays; y0 is left untouched.  Raises NumericsError
+    on non-finite values, naming the step end.
     """
     t = _check_grid(t_grid)
     if not (norm >= 0.0 and math.isfinite(norm)):
         raise ValueError(f"norm must be finite and >= 0, got {norm}")
 
     y = np.array(y0, dtype=complex)
-    bufs = (np.empty_like(y), np.empty_like(y))
     out = [y.copy()]
     if t.size == 1:
         return out
+    c = _block_rows(y)
+    block = np.empty((c,) + y.shape, dtype=complex)
+    bufs = list(block)
+    rows = block.reshape(c, -1).view(float)    # real weights fold re and im
     t = t.tolist()    # Python floats: bisect and scalar arithmetic stay cheap
     m, n_steps = _taylor_plan(norm * t[-1])
     h = t[-1] / n_steps
@@ -362,23 +354,36 @@ def expm_action(apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
         r = [(tk - i * h) / h for tk in t[k:k_end]]
         nodes = [y.copy() for _ in r]
         w = w_prev = [1.0] * len(r)    # r^j and r^(j-1) per node
-        term = y
+        lo, run = 1, []    # unfolded terms bufs[lo:lo + len(run)] and,
+        term = y           # per term, its weight per node
         c1 = y_bound = _inf_norm(term)
         for j in range(1, m + 1):
-            term = apply(term, bufs[j & 1])
+            term = apply(term, bufs[lo + len(run)])
             term *= h / j
             c2 = _inf_norm(term)
             y_bound += c2
             y += term
             if r:
-                spent = bufs[(j + 1) & 1]
                 w_prev, w = w, [wk * rk for wk, rk in zip(w, r)]
-                for z, wk in zip(nodes, w):
-                    z += np.multiply(term, wk, out=spent)
-            if c1 + c2 <= _STOP_BOUND * y_bound and \
-                    c1 + c2 <= _STOP_TOL * _inf_norm(y) and all(
-                    wp * c1 + wk * c2 <= _STOP_TOL * _inf_norm(z)
-                    for z, wp, wk in zip(nodes, w_prev, w)):
+            run.append(w)
+            end = c1 + c2 <= _STOP_BOUND * y_bound and \
+                c1 + c2 <= _STOP_TOL * _inf_norm(y)
+            if end or len(run) == c - 1:
+                # the free row: below the run, or above it
+                free = lo - 1 if lo else c - 1
+                spent = bufs[free]
+                if len(run) == 1:
+                    for z, wk in zip(nodes, w):
+                        z += np.multiply(term, wk, out=spent)
+                elif r:
+                    run_rows, out_f = rows[lo:lo + len(run)], rows[free]
+                    for z, wv in zip(nodes, np.array(run).T):
+                        wv.dot(run_rows, out=out_f)
+                        z += spent
+                # the next run must not start on the row apply reads next
+                lo, run = int(lo + len(run) == 1), []
+            if end and all(wp * c1 + wk * c2 <= _STOP_TOL * _inf_norm(z)
+                           for z, wp, wk in zip(nodes, w_prev, w)):
                 break
             c1 = c2
         if not np.all(np.isfinite(y.view(float))):

@@ -10,6 +10,7 @@ backaction.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -361,9 +362,12 @@ def test_expm_action_accurate_over_a_phase_accumulating_run():
 
 def _expm_action_eager(apply, y0, t, norm):
     # core.expm_action with the norm of the partial sum taken at every
-    # term: the reference for the bound that skips it
+    # term: the reference for the bound that skips it.  Nodes fold their
+    # terms by core's block rule, so the bits match
     y = np.array(y0, dtype=complex)
-    bufs = (np.empty_like(y), np.empty_like(y))
+    c = core._block_rows(y)
+    block = np.empty((c,) + y.shape, dtype=complex)
+    rows = block.reshape(c, -1).view(float)
     out = [y.copy()]
     t = list(t)
     m, n_steps = core._taylor_plan(norm * t[-1])
@@ -377,17 +381,28 @@ def _expm_action_eager(apply, y0, t, norm):
         r = [(tk - i * h) / h for tk in t[k:k_end]]
         nodes = [y.copy() for _ in r]
         w = w_prev = [1.0] * len(r)
+        lo, run = 1, []    # the run's rows from lo: each term's node weights
         term = y
         c1 = core._inf_norm(term)
         for j in range(1, m + 1):
-            term = apply(term, bufs[j & 1])
+            term = apply(term, block[lo + len(run)])
             term *= h / j
             c2 = core._inf_norm(term)
             y += term
             w_prev, w = w, [wk * rk for wk, rk in zip(w, r)]
-            for z, wk in zip(nodes, w):
-                z += term * wk
-            if c1 + c2 <= core._STOP_TOL * core._inf_norm(y) and all(
+            run.append(w)
+            end = c1 + c2 <= core._STOP_TOL * core._inf_norm(y)
+            if end or len(run) == c - 1:
+                free = lo - 1 if lo else c - 1
+                for n, z in enumerate(nodes):
+                    if len(run) == 1:
+                        np.multiply(term, w[n], out=block[free])
+                    else:
+                        np.matmul([wr[n] for wr in run],
+                                  rows[lo:lo + len(run)], out=rows[free])
+                    z += block[free]
+                lo, run = int(lo + len(run) == 1), []
+            if end and all(
                     wp * c1 + wk * c2 <= core._STOP_TOL * core._inf_norm(z)
                     for z, wp, wk in zip(nodes, w_prev, w)):
                 break
@@ -431,6 +446,158 @@ def test_expm_action_matches_the_eager_norm_loop(monkeypatch):
         np.testing.assert_array_equal(y, y_ref)
     np.testing.assert_array_equal(terms, terms_ref)
     assert n_norms < 0.7 * n_norms_ref
+
+
+def _expm_action_per_term(apply, y0, t, norm, ends):
+    # core.expm_action as it was before the block fold: every weighted
+    # term is added into every node as it is made.  Appends to ends, per
+    # step, the terms at which the step-end test passed
+    y = np.array(y0, dtype=complex)
+    bufs = np.empty((2,) + y.shape, dtype=complex)
+    out = [y.copy()]
+    t = list(t)
+    m, n_steps = core._taylor_plan(norm * t[-1])
+    h = t[-1] / n_steps
+    k = 1
+    for i in range(n_steps):
+        t_b = t[-1] if i == n_steps - 1 else (i + 1) * h
+        k_end = k
+        while k_end < len(t) and t[k_end] < t_b:
+            k_end += 1
+        r = [(tk - i * h) / h for tk in t[k:k_end]]
+        nodes = [y.copy() for _ in r]
+        w = w_prev = [1.0] * len(r)
+        term = y
+        c1 = core._inf_norm(term)
+        ends.append([])
+        for j in range(1, m + 1):
+            term = apply(term, bufs[j & 1])
+            term *= h / j
+            c2 = core._inf_norm(term)
+            y += term
+            w_prev, w = w, [wk * rk for wk, rk in zip(w, r)]
+            for z, wk in zip(nodes, w):
+                z += np.multiply(term, wk, out=bufs[(j + 1) & 1])
+            if c1 + c2 <= core._STOP_TOL * core._inf_norm(y):
+                ends[-1].append(j)
+                if all(wp * c1 + wk * c2 <= core._STOP_TOL * core._inf_norm(z)
+                       for z, wp, wk in zip(nodes, w_prev, w)):
+                    break
+            c1 = c2
+        out.extend(nodes)
+        if t[k_end] == t_b:
+            out.append(y.copy())
+            k_end += 1
+        k = k_end
+    return out
+
+
+def _fold_and_per_term_runs(liou, y0, grid, monkeypatch, node_norm_scale):
+    # (nodes, apply calls per step) from core.expm_action and from the
+    # per-term loop, plus the terms at which each step's end test passed.
+    # node_norm_scale < 1 shrinks the norm the node stopping test sees, so
+    # a step can pass its end test and still go on
+    inf_norm = core._inf_norm
+    first = []    # the partial sum, the first array normed; terms are views
+
+    def scaled(a):
+        if not first:
+            first.append(a)
+        node = a.base is None and a is not first[0]
+        return inf_norm(a) * (node_norm_scale if node else 1.0)
+
+    monkeypatch.setattr(core, "_inf_norm", scaled)
+    runs, ends = [], []
+    for propagate in (expm_action, lambda *args: _expm_action_per_term(*args, ends)):
+        first.clear()
+        ids = []
+
+        def apply(y, out):
+            assert not np.shares_memory(y, out)
+            ids.append(id(y))
+            return liou.apply(y, out)
+
+        ys = propagate(apply, y0, grid, liou.norm_bound)
+        starts = [k for k, i in enumerate(ids) if i == ids[0]]
+        runs.append((ys, np.diff(starts + [len(ids)])))
+    return (*runs, ends)
+
+
+@pytest.mark.parametrize("node_norm_scale", [1.0, 1e-3])
+def test_expm_action_fold_matches_the_per_term_loop(monkeypatch, node_norm_scale):
+    # the sigma_n generator with both intrinsic rates at d = 6, where the
+    # block has 8 rows: 24 nodes inside each step, steps ending after a
+    # run of one term (span 20) and partway through a longer run (span
+    # 40), and with shrunken node norms, steps going on past a passed end
+    # test.  The same apply calls and step ends, nodes to rounding
+    p = SystemParams(epsilon=1.0, delta=0.1, g=0.02, kappa=0.1, f=0.3,
+                     delta_omega=0.92, gamma1=0.05, gamma2=0.02, s_ii=20.0)
+    liou = build_liouvillian(p, FockSpace(6))
+    y0 = _random_state(12, seed=5)
+    c = core._block_rows(y0)
+    assert c == 8
+    partial = went_on = 0
+    for x in (20.0, 40.0):
+        span = x / liou.norm_bound
+        n_steps = core._taylor_plan(x)[1]
+        h = span / n_steps
+        step_ends = [(i + 1) * h for i in range(n_steps - 1)] + [span]
+        grid = np.sort(np.concatenate(
+            [[0.0], step_ends, *(i * h + np.linspace(0.02, 0.98, 24) * h
+                                 for i in range(n_steps))]))
+        (ys, terms), (ys_ref, terms_ref), ends = _fold_and_per_term_runs(
+            liou, y0, grid, monkeypatch, node_norm_scale)
+        np.testing.assert_array_equal(terms, terms_ref)
+        partial += sum(e[-1] % (c - 1) != 0 for e in ends)
+        went_on += sum(len(e) > 1 for e in ends)
+        assert len(ys) == len(ys_ref) == len(grid)
+        for t, y, y_ref in zip(grid, ys, ys_ref):
+            if t in step_ends:
+                np.testing.assert_array_equal(y, y_ref)
+            else:
+                np.testing.assert_allclose(y, y_ref, rtol=0.0,
+                                           atol=1e-14 * np.abs(y_ref).max())
+    assert partial >= 2
+    assert (went_on > 0) == (node_norm_scale < 1.0)
+
+
+def test_expm_action_fold_is_the_per_term_loop_with_two_rows(monkeypatch):
+    # from d = 18 up the block holds two rows, today's two buffers: every
+    # node is the per-term loop's bits
+    p = SystemParams(epsilon=1.0, delta=0.1, g=0.02, kappa=0.1, f=0.3,
+                     delta_omega=0.92, gamma1=0.05, gamma2=0.02, s_ii=20.0)
+    liou = build_liouvillian(p, FockSpace(18))
+    y0 = _random_state(36, seed=5)
+    assert core._block_rows(y0) == 2
+    span = 20.0 / liou.norm_bound
+    grid = np.linspace(0.0, span, 41)
+    (ys, terms), (ys_ref, terms_ref), _ = _fold_and_per_term_runs(
+        liou, y0, grid, monkeypatch, 1.0)
+    np.testing.assert_array_equal(terms, terms_ref)
+    for y, y_ref in zip(ys, ys_ref):
+        np.testing.assert_array_equal(y, y_ref)
+
+
+def test_expm_action_memory_stays_near_three_states():
+    # d = 48 with two nodes inside each of 4 steps: beyond the nodes it
+    # returns, expm_action holds the partial sum and two term rows (3.05
+    # states; an 8-row block reads 9.05)
+    p = SystemParams(epsilon=2.0, g=0.03, kappa=0.1, f=1.1, delta_omega=0.0,
+                     s_ii=20.0)
+    liou = build_liouvillian(p, FockSpace(48))
+    y0 = plus_vacuum(liou.space).matrix
+    span = 30.0 / liou.norm_bound
+    grid = np.linspace(0.0, span, 3 * core._taylor_plan(30.0)[1] + 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ys = expm_action(liou.apply, y0, grid, liou.norm_bound)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    held = sum(y.nbytes for y in ys)
+    assert (peak - held) / y0.nbytes <= 3.5
 
 
 def test_evolve_apply_calls_do_not_depend_on_the_grid(monkeypatch):

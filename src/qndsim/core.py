@@ -2,8 +2,7 @@
 
 integrate is fixed-step RK4 for a time-dependent right-hand side;
 expm_action propagates a constant linear operator exactly (to double
-precision) by its Taylor series, reading each reporting node off the
-terms of the step that contains it.
+precision) by its Taylor series.
 
 Conventions used across the package: hbar = 1 and every frequency, rate
 and coupling is an angular frequency in 1/ns (figure-caption values quoted
@@ -53,6 +52,8 @@ class SystemParams:
     f            drive amplitude (>= 0)
     delta_omega  resonator-drive detuning at the operating point
     s_ii         white current-noise spectral density of the readout line
+
+    A non-finite field raises ValueError naming it, before any range check.
     """
 
     epsilon: float = 10.0
@@ -110,8 +111,11 @@ _EIG_TOL = 1e-7
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Joint qubit (x) resonator state: a 2*dim x 2*dim complex matrix,
-    checked on construction against the tolerances above."""
+    """Joint qubit (x) resonator state, validated on construction.
+
+    The matrix is 2*dim x 2*dim complex with unit trace (within 1e-9),
+    Hermitian (within 1e-10 entrywise) and no eigenvalue below -1e-7.
+    """
 
     space: FockSpace
     matrix: np.ndarray
@@ -248,10 +252,12 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
               step: float) -> list[np.ndarray]:
     """Fixed-step RK4 from t_grid[0] = 0, reporting the state at each node.
 
-    Each grid interval takes _substep_plan's substeps, substep i starting
-    at tk = t0 + i*h (from the index, not accumulated), so rhs is called
-    at exactly tk, tk + 0.5*h and tk + h, times a caller can tabulate in
-    advance.  Raises NumericsError on non-finite values, naming the time.
+    Each grid interval takes _substep_plan's equal substeps, so the
+    integrator lands on every node and the step never exceeds `step` or
+    the local grid spacing.  Substep i starts at tk = t0 + i*h, from the
+    index rather than accumulated, so rhs is called at exactly tk,
+    tk + 0.5*h and tk + h, times a caller can tabulate in advance.
+    Raises NumericsError on non-finite values, identifying the time.
     """
     plan = _substep_plan(_check_grid(t_grid), step)
 
@@ -285,8 +291,7 @@ _STOP_TOL = _TAYLOR_TOL / math.sqrt(2.0)
 # for a partial sum y, y_bound (its start's norm plus its terms') times
 # _STOP_BOUND >= _inf_norm(y) * _STOP_TOL, the margin covering rounding
 _STOP_BOUND = _STOP_TOL * (1.0 + 1e-12)
-# bytes of Taylor-term rows per expm_action call: 6 rows at fock_dim 12,
-# the floor of 2 from 18 up
+# expm_action's term block: 6 rows at fock_dim 12, 2 from 18 up
 _BLOCK_BYTES = 56 * 1024
 
 
@@ -320,17 +325,13 @@ def expm_action(apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
     writes A y into the C-contiguous complex array out (shaped like y,
     never overlapping it) and returns out.
 
-    norm bounds the 1-norm of A on y flattened.  One plan covers the span:
-    s steps of length h of the degree-m Taylor series, (m, s) from the
-    theta_m table.  A node in step i is sum_j r^j T_j over that step's
-    terms, r = (t_node - i*h)/h, so apply calls do not depend on the
-    number of nodes; a node on a step end is its partial sum.  A step
-    stops once two consecutive terms fall below _STOP_TOL of the partial
-    sum, at its end and, weighted by r^j, at each node in it.  The terms
-    go into a block of c = _block_rows(y0) rows; every c - 1 terms, and
-    whenever the end test passes, each node adds the run by one dot.
-    Nodes are fresh arrays; y0 is left untouched.  Raises NumericsError
-    on non-finite values, naming the step end.
+    norm bounds the 1-norm of A on y flattened.  s steps of length h of
+    the degree-m Taylor series, (m, s) from the theta_m table, cover the
+    span; a node in step i is sum_j r^j T_j, r = (t_node - i*h)/h, so the
+    apply calls do not depend on the node count.  A step stops once two
+    consecutive terms fall below _STOP_TOL of the partial sum, at its end
+    and at each node.  Nodes are fresh arrays; y0 is left untouched.
+    Raises NumericsError on non-finite values, naming the step end.
     """
     t = _check_grid(t_grid)
     if not (norm >= 0.0 and math.isfinite(norm)):
@@ -340,6 +341,7 @@ def expm_action(apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
     out = [y.copy()]
     if t.size == 1:
         return out
+    # terms fill the rows of one block, reaching the nodes c - 1 at a time
     c = _block_rows(y)
     block = np.empty((c,) + y.shape, dtype=complex)
     bufs = list(block)
@@ -368,7 +370,7 @@ def expm_action(apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
             run.append(w)
             end = c1 + c2 <= _STOP_BOUND * y_bound and \
                 c1 + c2 <= _STOP_TOL * _inf_norm(y)
-            if end or len(run) == c - 1:
+            if end or len(run) == c - 1 or j == m:
                 # the free row: below the run, or above it
                 free = lo - 1 if lo else c - 1
                 spent = bufs[free]

@@ -392,7 +392,7 @@ def _expm_action_eager(apply, y0, t, norm):
             w_prev, w = w, [wk * rk for wk, rk in zip(w, r)]
             run.append(w)
             end = c1 + c2 <= core._STOP_TOL * core._inf_norm(y)
-            if end or len(run) == c - 1:
+            if end or len(run) == c - 1 or j == m:
                 free = lo - 1 if lo else c - 1
                 for n, z in enumerate(nodes):
                     if len(run) == 1:
@@ -498,28 +498,33 @@ def _fold_and_per_term_runs(liou, y0, grid, monkeypatch, node_norm_scale):
     # node_norm_scale < 1 shrinks the norm the node stopping test sees, so
     # a step can pass its end test and still go on
     inf_norm = core._inf_norm
-    first = []    # the partial sum, the first array normed; terms are views
+    normed = []    # (array, scaled) per call, alive so that ids stay unique
 
     def scaled(a):
-        if not first:
-            first.append(a)
-        node = a.base is None and a is not first[0]
+        # the partial sum is the first array normed and terms are views of
+        # the block; the check after each run confirms this picked the nodes
+        node = bool(normed) and a.base is None and a is not normed[0][0]
+        normed.append((a, node))
         return inf_norm(a) * (node_norm_scale if node else 1.0)
 
-    monkeypatch.setattr(core, "_inf_norm", scaled)
     runs, ends = [], []
-    for propagate in (expm_action, lambda *args: _expm_action_per_term(*args, ends)):
-        first.clear()
-        ids = []
+    with monkeypatch.context() as mp:    # undone before the next call
+        mp.setattr(core, "_inf_norm", scaled)
+        for propagate in (expm_action,
+                          lambda *a: _expm_action_per_term(*a, ends)):
+            normed.clear()
+            ids = []
 
-        def apply(y, out):
-            assert not np.shares_memory(y, out)
-            ids.append(id(y))
-            return liou.apply(y, out)
+            def apply(y, out):
+                assert not np.shares_memory(y, out)
+                ids.append(id(y))
+                return liou.apply(y, out)
 
-        ys = propagate(apply, y0, grid, liou.norm_bound)
-        starts = [k for k, i in enumerate(ids) if i == ids[0]]
-        runs.append((ys, np.diff(starts + [len(ids)])))
+            ys = propagate(apply, y0, grid, liou.norm_bound)
+            returned = {id(z) for z in ys}
+            assert all((id(a) in returned) == node for a, node in normed)
+            starts = [k for k, i in enumerate(ids) if i == ids[0]]
+            runs.append((ys, np.diff(starts + [len(ids)])))
     return (*runs, ends)
 
 
@@ -528,16 +533,18 @@ def test_expm_action_fold_matches_the_per_term_loop(monkeypatch, node_norm_scale
     # the sigma_n generator with both intrinsic rates at d = 6, where the
     # block has 8 rows: 24 nodes inside each step, steps ending after a
     # run of one term (span 20) and partway through a longer run (span
-    # 40), and with shrunken node norms, steps going on past a passed end
-    # test.  The same apply calls and step ends, nodes to rounding
+    # 40), short spans whose one step uses up its m = 5 or 12 terms with
+    # no end test passing, and with shrunken node norms, steps going on
+    # past a passed end test.  The same apply calls and step ends, nodes
+    # to rounding
     p = SystemParams(epsilon=1.0, delta=0.1, g=0.02, kappa=0.1, f=0.3,
                      delta_omega=0.92, gamma1=0.05, gamma2=0.02, s_ii=20.0)
     liou = build_liouvillian(p, FockSpace(6))
     y0 = _random_state(12, seed=5)
     c = core._block_rows(y0)
     assert c == 8
-    partial = went_on = 0
-    for x in (20.0, 40.0):
+    partial = went_on = used_up = 0
+    for x in (1e-3, 0.3, 20.0, 40.0):
         span = x / liou.norm_bound
         n_steps = core._taylor_plan(x)[1]
         h = span / n_steps
@@ -548,8 +555,9 @@ def test_expm_action_fold_matches_the_per_term_loop(monkeypatch, node_norm_scale
         (ys, terms), (ys_ref, terms_ref), ends = _fold_and_per_term_runs(
             liou, y0, grid, monkeypatch, node_norm_scale)
         np.testing.assert_array_equal(terms, terms_ref)
-        partial += sum(e[-1] % (c - 1) != 0 for e in ends)
+        partial += sum(bool(e) and e[-1] % (c - 1) != 0 for e in ends)
         went_on += sum(len(e) > 1 for e in ends)
+        used_up += sum(not e for e in ends)
         assert len(ys) == len(ys_ref) == len(grid)
         for t, y, y_ref in zip(grid, ys, ys_ref):
             if t in step_ends:
@@ -557,8 +565,20 @@ def test_expm_action_fold_matches_the_per_term_loop(monkeypatch, node_norm_scale
             else:
                 np.testing.assert_allclose(y, y_ref, rtol=0.0,
                                            atol=1e-14 * np.abs(y_ref).max())
-    assert partial >= 2
+    assert partial >= 2 and used_up == 2
     assert (went_on > 0) == (node_norm_scale < 1.0)
+
+
+@pytest.mark.parametrize("span", [1e-3, 0.3])
+def test_expm_action_nodes_get_every_term_of_a_used_up_step(span):
+    # d/dt y = i y over short spans: one step of m = 5 or 12 terms whose
+    # end test never passes, so the last run reaches the nodes only when
+    # the step runs out of terms
+    grid = np.linspace(0.0, span, 5)
+    ys = expm_action(lambda y, out: np.multiply(1j, y, out=out),
+                     np.ones(1, dtype=complex), grid, 1.0)
+    np.testing.assert_allclose(np.concatenate(ys), np.exp(1j * grid),
+                               rtol=0.0, atol=1e-15)
 
 
 def test_expm_action_fold_is_the_per_term_loop_with_two_rows(monkeypatch):

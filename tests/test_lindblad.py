@@ -569,18 +569,6 @@ def test_expm_action_fold_matches_the_per_term_loop(monkeypatch, node_norm_scale
     assert (went_on > 0) == (node_norm_scale < 1.0)
 
 
-@pytest.mark.parametrize("span", [1e-3, 0.3])
-def test_expm_action_nodes_get_every_term_of_a_used_up_step(span):
-    # d/dt y = i y over short spans: one step of m = 5 or 12 terms whose
-    # end test never passes, so the last run reaches the nodes only when
-    # the step runs out of terms
-    grid = np.linspace(0.0, span, 5)
-    ys = expm_action(lambda y, out: np.multiply(1j, y, out=out),
-                     np.ones(1, dtype=complex), grid, 1.0)
-    np.testing.assert_allclose(np.concatenate(ys), np.exp(1j * grid),
-                               rtol=0.0, atol=1e-15)
-
-
 def test_expm_action_fold_is_the_per_term_loop_with_two_rows(monkeypatch):
     # from d = 18 up the block holds two rows, today's two buffers: every
     # node is the per-term loop's bits

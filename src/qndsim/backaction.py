@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (NumericsError, SystemParams, _check_grid,
-                   _eigenvalue_below, _state_errors, _substep_plan, integrate)
+                   _eigenvalue_below, _state_errors, integrate)
 
 __all__ = [
     "QubitEigenbasis",
@@ -201,10 +201,8 @@ def evolve_reduced(params: SystemParams, basis: QubitEigenbasis,
     time_dependent mode: integrates the time-local equation by RK4
     (core.integrate) with the finite-memory kernel K(t) and step
     1/(50 max(E, kappa, |delta_omega|)), exposing the short-time
-    (t < 1/kappa) transient.
-    K is evaluated once per grid interval, on the array of every RK4 stage
-    time in it (from the same _substep_plan and index formula integrate
-    uses), and each stage looks its 4x4 generator up by time.
+    (t < 1/kappa) transient; K is evaluated once per grid interval, at
+    all of its RK4 stage times.
     """
     rho0 = _check_rho0(rho0_qubit)
     t = _check_grid(t_grid)
@@ -224,23 +222,9 @@ def evolve_reduced(params: SystemParams, basis: QubitEigenbasis,
         rate_scale = max(basis.splitting, params.kappa,
                          abs(params.delta_omega), 1e-300)
         step = 1.0 / (50.0 * rate_scale)
-        intervals = iter(_substep_plan(t, step))
-        generators = {}
-
-        def rhs(tk, y):
-            if tk not in generators:
-                # first stage of the next interval: tabulate -K at all of its
-                # stage times; a time integrate asks for outside the table
-                # raises KeyError rather than falling back to a scalar call
-                t0, h, n_sub = next(intervals)
-                starts = t0 + np.arange(n_sub) * h
-                stages = np.concatenate([starts, starts + 0.5 * h, starts + h])
-                gens = -_memory_kernel(params, basis, stages).reshape(-1, 4, 4)
-                generators.clear()
-                generators.update(zip(stages.tolist(), gens))
-            return generators[tk] @ y
-
-        mats = integrate(rhs, rho0.reshape(4), t, step)
+        mats = integrate(
+            lambda ts: -_memory_kernel(params, basis, ts).reshape(-1, 4, 4),
+            rho0.reshape(4), t, step)
     else:
         raise ValueError(f"mode must be 'markov' or 'time_dependent', got {mode!r}")
 

@@ -29,7 +29,6 @@ __all__ = [
     "SweepResult",
     "parse_config",
     "emit_csv",
-    "parse_csv",
     "run_fig2",
     "run_fig3",
     "run_sweep",
@@ -192,15 +191,6 @@ def emit_csv(result: SweepResult, path: Optional[str] = None) -> str:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     return text
-
-
-def parse_csv(text: str) -> SweepResult:
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines:
-        raise ConfigError("empty CSV")
-    columns = tuple(lines[0].split(","))
-    rows = [tuple(float(v) for v in ln.split(",")) for ln in lines[1:]]
-    return SweepResult(columns=columns, rows=rows)
 
 
 def run_fig2(cfg: RunConfig, n_detuning: int = 201, n_time: int = 200) -> SweepResult:

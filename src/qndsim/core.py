@@ -1,6 +1,6 @@
 """Shared state types, operators and the two propagators.
 
-integrate is fixed-step RK4 for a time-dependent right-hand side;
+integrate is fixed-step RK4 for a time-dependent linear generator;
 expm_action propagates a constant linear operator exactly (to double
 precision) by its Taylor series.
 
@@ -99,7 +99,7 @@ class FockSpace:
     top_population_threshold = 1e-6
 
     def __post_init__(self) -> None:
-        if self.dim < 2:
+        if not self.dim >= 2:
             raise ValueError(f"Fock dimension must be >= 2, got {self.dim}")
 
 
@@ -225,48 +225,37 @@ def _check_grid(t_grid: Sequence[float]) -> np.ndarray:
     return t
 
 
-def _rk4_step(rhs: Callable[[float, np.ndarray], np.ndarray],
-              t: float, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
-    k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-
-def _substep_plan(t: np.ndarray, step: float) -> list[tuple[float, float, int]]:
-    """(t0, h, n_sub) for each interval [t0, t1] of the grid t: ceil(dt/step)
-    equal substeps of length h, so none exceeds step or the interval."""
-    if not step > 0.0:
-        raise ValueError(f"step must be > 0, got {step}")
-    plan = []
-    for t0, t1 in zip(t[:-1], t[1:]):
-        n_sub = max(1, math.ceil((t1 - t0) / step))
-        plan.append((t0, (t1 - t0) / n_sub, n_sub))
-    return plan
-
-
-def integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
+def integrate(generator: Callable[[np.ndarray], np.ndarray],
               y0: np.ndarray,
               t_grid: Sequence[float],
               step: float) -> list[np.ndarray]:
-    """Fixed-step RK4 from t_grid[0] = 0, reporting the state at each node.
+    """Fixed-step RK4 for y' = A(t) y from t_grid[0] = 0, reporting y at
+    each node.
 
-    Each grid interval takes _substep_plan's equal substeps, so the
-    integrator lands on every node and the step never exceeds `step` or
-    the local grid spacing.  Substep i starts at tk = t0 + i*h, from the
-    index rather than accumulated, so rhs is called at exactly tk,
-    tk + 0.5*h and tk + h, times a caller can tabulate in advance.
+    Each grid interval [t0, t1] takes n = ceil((t1 - t0)/step) equal
+    substeps of length h, starting at t0 + i*h, so the step never exceeds
+    `step` or the local spacing.  generator is called once per interval,
+    on the stage times concatenate([starts, starts + h/2, starts + h]),
+    and returns A at each of them, shape (3n, d, d).
     Raises NumericsError on non-finite values, identifying the time.
     """
-    plan = _substep_plan(_check_grid(t_grid), step)
+    t = _check_grid(t_grid)
+    if not step > 0.0:
+        raise ValueError(f"step must be > 0, got {step}")
 
     y = np.array(y0, dtype=complex)
     out = [y.copy()]
-    for t0, h, n_sub in plan:
-        for i in range(n_sub):
-            tk = t0 + i * h
-            y = _rk4_step(rhs, tk, y, h)
+    for t0, t1 in zip(t[:-1], t[1:]):
+        n_sub = max(1, math.ceil((t1 - t0) / step))
+        h = (t1 - t0) / n_sub
+        starts = t0 + np.arange(n_sub) * h
+        a = generator(np.concatenate([starts, starts + 0.5 * h, starts + h]))
+        for tk, a1, a2, a3 in zip(starts, *np.split(a, 3)):
+            k1 = a1 @ y
+            k2 = a2 @ (y + (0.5 * h) * k1)
+            k3 = a2 @ (y + (0.5 * h) * k2)
+            k4 = a3 @ (y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
             if not np.all(np.isfinite(y.view(float))):
                 raise NumericsError(f"non-finite state at t = {tk + h:.6g}")
         out.append(y.copy())
@@ -347,6 +336,9 @@ def expm_action(apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
     bufs = list(block)
     rows = block.reshape(c, -1).view(float)    # real weights fold re and im
     t = t.tolist()    # Python floats: bisect and scalar arithmetic stay cheap
+    if not math.isfinite(norm * t[-1] / _THETA[1]):
+        raise ValueError(f"span {t[-1]:.6g} is too long to propagate at "
+                         f"norm {norm:.6g}")
     m, n_steps = _taylor_plan(norm * t[-1])
     h = t[-1] / n_steps
     k = 1    # the next node to fill

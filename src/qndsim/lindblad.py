@@ -289,7 +289,7 @@ def repeatability_experiment(liou: Liouvillian, rho0: DensityMatrix,
     2^n_meas - 1.  Pieces lighter than 1e-12 are dropped.  Returns the
     probability that consecutive outcomes agree, per pair.
     """
-    if t_meas <= 0.0:
+    if not t_meas > 0.0:
         raise ValueError(f"t_meas must be > 0, got {t_meas}")
     if not 2 <= n_meas <= 6:
         raise ValueError(f"n_meas must be in 2..6, got {n_meas}")

@@ -37,6 +37,7 @@ from qndsim.core import (
 from qndsim.lindblad import build_liouvillian, evolve, repeatability_experiment
 
 from closed_forms import coherence_solution, conditional_amplitude
+from test_lindblad import _superoperator
 
 # pinned master-equation operating point: conditioned detunings 0 and 0.6
 P_BASE = dict(epsilon=0.0, delta=0.0, g=0.3, kappa=0.1, f=0.05,
@@ -337,10 +338,11 @@ def test_criterion_7_numerical_hygiene(tmp_path):
             herm_dev = max(herm_dev, float(np.max(np.abs(m - m.conj().T))))
             min_eig = min(min_eig, float(np.linalg.eigvalsh(m).min()))
 
-    # measured RK4 order on the full generator
-    liou = build_liouvillian(p1, space)
-    y0 = _plus_vacuum(space).matrix
-    finals = [integrate(lambda t, y: liou.apply(y), y0, [0.0, 1.0], h)[-1]
+    # measured RK4 order on the full generator, as a dense superoperator
+    sup = _superoperator(build_liouvillian(p1, space))
+    y0 = _plus_vacuum(space).matrix.reshape(-1)
+    finals = [integrate(lambda ts: np.broadcast_to(sup, (len(ts),) + sup.shape),
+                        y0, [0.0, 1.0], h)[-1]
               for h in (0.01, 0.005, 0.0025)]
     e1 = np.linalg.norm(finals[0] - finals[1])
     e2 = np.linalg.norm(finals[1] - finals[2])

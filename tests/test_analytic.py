@@ -92,8 +92,10 @@ def test_alpha_of_t_solves_the_conditional_ode():
         ps = pointer_state(P_FIG, sz)
         tg = np.linspace(0.0, 60.0, 31)
         lam = 1j * ps.detuning + P_FIG.kappa / 2.0
-        ys = integrate(lambda t, y: -1j * P_FIG.f - lam * y,
-                       np.array([0.0 + 0j]), tg, step=0.02)
+        # linear in the augmented state (<a>, 1)
+        gen = np.array([[-lam, -1j * P_FIG.f], [0.0, 0.0]])
+        ys = integrate(lambda ts: np.broadcast_to(gen, (len(ts), 2, 2)),
+                       np.array([0.0, 1.0 + 0j]), tg, step=0.02)
         ode = np.array([y[0] for y in ys])
         np.testing.assert_allclose(alpha_of_t(ps, P_FIG.kappa, tg), ode,
                                    atol=1e-9)

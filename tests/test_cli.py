@@ -27,7 +27,6 @@ from qndsim.cli import (
     emit_csv,
     main,
     parse_config,
-    parse_csv,
     run_fig2,
     run_fig3,
     run_lindblad,
@@ -37,6 +36,14 @@ from qndsim.cli import (
 from qndsim.core import SystemParams
 
 DATA = Path(__file__).parent / "data"
+
+
+def parse_csv(text: str) -> SweepResult:
+    lines = [ln for ln in text.split("\n") if ln]
+    columns = tuple(lines[0].split(","))
+    rows = [tuple(float(v) for v in ln.split(",")) for ln in lines[1:]]
+    return SweepResult(columns=columns, rows=rows)
+
 
 SWEEP_CFG = """
 # one-parameter closed-form sweep
@@ -259,11 +266,6 @@ def test_csv_round_trip_property(table):
     assert _bits(back.rows) == _bits(table.rows)
 
 
-def test_parse_csv_rejects_empty():
-    with pytest.raises(ConfigError, match="empty CSV"):
-        parse_csv("")
-
-
 # ---------------------------------------------------------------- runners
 
 def test_run_fig2_grid_shape_and_zero_point_rule():
@@ -366,6 +368,16 @@ def test_kappa_sweep_from_zero_exits_2():
                      "--set", "sweep_start=0", "--set", "sweep_stop=0.4",
                      "--set", "sweep_count=5"]) == 2
     assert "kappa must be > 0" in err.getvalue()
+
+
+def test_repeat_whose_span_overflows_exits_2():
+    # norm * t_max overflows the Taylor step plan: a named error, not a
+    # traceback
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        assert main(["repeat", "--set", "t_max=1e300",
+                     "--set", "fock_dim=3"]) == 2
+    assert "span 1e+300 is too long to propagate" in err.getvalue()
 
 
 def test_run_lindblad_quick():

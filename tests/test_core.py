@@ -65,8 +65,9 @@ def test_system_params_validation(kw, fragment):
 
 def test_fock_space_validation():
     assert FockSpace(2).dim == 2
-    with pytest.raises(ValueError, match="must be >= 2"):
-        FockSpace(1)
+    for bad in (1, float("nan")):
+        with pytest.raises(ValueError, match="must be >= 2"):
+            FockSpace(bad)
 
 
 # ---------------------------------------------------------------- operators
@@ -250,9 +251,14 @@ def test_fock_vacuum():
 
 # ---------------------------------------------------------------- integrator
 
+def _constant(a):
+    # the generator A(t) = a at every stage time, as a (len(ts), 1, 1) stack
+    return lambda ts: np.full((len(ts), 1, 1), a, dtype=complex)
+
+
 def test_integrate_exponential_decay():
     lam = -0.8 + 0.3j
-    ys = integrate(lambda t, y: lam * y, np.array([1.0 + 0j]),
+    ys = integrate(_constant(lam), np.array([1.0 + 0j]),
                    np.linspace(0.0, 5.0, 11), step=0.01)
     exact = np.exp(lam * np.linspace(0.0, 5.0, 11))
     err = max(abs(y[0] - e) for y, e in zip(ys, exact))
@@ -262,7 +268,7 @@ def test_integrate_exponential_decay():
 def test_integrate_fourth_order_convergence():
     lam = -1.0 + 0.5j
     grid = [0.0, 2.0]
-    finals = [integrate(lambda t, y: lam * y, np.array([1.0 + 0j]), grid, h)[-1][0]
+    finals = [integrate(_constant(lam), np.array([1.0 + 0j]), grid, h)[-1][0]
               for h in (0.02, 0.01, 0.005)]
     exact = np.exp(lam * 2.0)
     e1, e2, e3 = (abs(f - exact) for f in finals)
@@ -273,35 +279,57 @@ def test_integrate_fourth_order_convergence():
 def test_integrate_lands_on_irregular_nodes():
     # non-commensurate spans still report exactly at the nodes
     grid = np.array([0.0, 0.37, 1.0, 2.75])
-    ys = integrate(lambda t, y: -y, np.array([1.0 + 0j]), grid, step=0.01)
+    ys = integrate(_constant(-1.0), np.array([1.0 + 0j]), grid, step=0.01)
     np.testing.assert_allclose([y[0].real for y in ys], np.exp(-grid), rtol=1e-8)
 
 
 def test_integrate_time_dependent_rhs():
     # y' = 2t y  ->  y = exp(t^2)
-    ys = integrate(lambda t, y: 2.0 * t * y, np.array([1.0 + 0j]),
+    ys = integrate(lambda ts: (2.0 * ts)[:, None, None], np.array([1.0 + 0j]),
                    [0.0, 1.0], step=0.005)
     assert ys[-1][0].real == pytest.approx(math.e, rel=1e-9)
 
 
+def test_integrate_calls_the_generator_once_per_interval_at_the_stage_times():
+    # an irregular grid with several substeps per interval: one call per
+    # interval, on its n substep starts, midpoints and ends
+    grid = [0.0, 0.3, 1.0, 1.7]
+    step = 0.0196
+    calls = []
+
+    def recording(ts):
+        calls.append(ts.copy())
+        return np.zeros((len(ts), 1, 1))
+
+    integrate(recording, np.array([1.0 + 0j]), grid, step)
+    assert len(calls) == len(grid) - 1
+    for ts, t0, t1 in zip(calls, grid[:-1], grid[1:]):
+        n = math.ceil((t1 - t0) / step)
+        assert n > 1
+        h = (t1 - t0) / n
+        starts = t0 + np.arange(n) * h
+        assert np.array_equal(ts, np.concatenate([starts, starts + h / 2,
+                                                  starts + h]))
+
+
 def test_integrate_input_validation():
-    rhs = lambda t, y: -y
+    gen = _constant(-1.0)
     y0 = np.array([1.0 + 0j])
     with pytest.raises(ValueError, match="must start at 0"):
-        integrate(rhs, y0, [1.0, 2.0], 0.1)
+        integrate(gen, y0, [1.0, 2.0], 0.1)
     with pytest.raises(ValueError, match="strictly increasing"):
-        integrate(rhs, y0, [0.0, 2.0, 1.0], 0.1)
+        integrate(gen, y0, [0.0, 2.0, 1.0], 0.1)
     with pytest.raises(ValueError, match="step must be > 0"):
-        integrate(rhs, y0, [0.0, 1.0], 0.0)
+        integrate(gen, y0, [0.0, 1.0], 0.0)
     with pytest.raises(ValueError, match="non-empty"):
-        integrate(rhs, y0, [], 0.1)
+        integrate(gen, y0, [], 0.1)
 
 
 def test_integrate_flags_nonfinite_blowup():
     # unstable: |1 + lam h| >> 1 drives the iterate to overflow
     with np.errstate(all="ignore"):
         with pytest.raises(NumericsError, match="non-finite state at t ="):
-            integrate(lambda t, y: 1e3 * y, np.array([1.0 + 0j]),
+            integrate(_constant(1e3), np.array([1.0 + 0j]),
                       [0.0, 100.0], step=1.0)
 
 
@@ -343,6 +371,9 @@ def test_expm_action_input_validation():
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="norm must be"):
             expm_action(apply, y0, [0.0, 1.0], bad)
+    # norm * span / theta_1 overflows: no step plan exists
+    with pytest.raises(ValueError, match="span 1e\\+300 is too long"):
+        expm_action(apply, y0, [0.0, 1e300], 1.0)
 
 
 def test_expm_action_flags_nonfinite_state():

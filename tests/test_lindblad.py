@@ -768,10 +768,11 @@ def test_unstable_step_raises_numerics_error():
     p = SystemParams(epsilon=10.0, g=0.3, kappa=0.1, f=0.05, delta_omega=0.3,
                      s_ii=1.0)
     space = FockSpace(6)
-    liou = build_liouvillian(p, space)
+    sup = _superoperator(build_liouvillian(p, space))
     with np.errstate(all="ignore"):
         with pytest.raises(NumericsError, match="non-finite state at t ="):
-            integrate(lambda t, y: liou.apply(y), plus_vacuum(space).matrix,
+            integrate(lambda ts: np.broadcast_to(sup, (len(ts),) + sup.shape),
+                      plus_vacuum(space).matrix.reshape(-1),
                       np.array([0.0, 200.0]), step=1.0)
 
 
@@ -931,8 +932,9 @@ def test_repeatability_validation():
     space = FockSpace(6)
     liou = build_liouvillian(P_ME, space)
     rho0 = plus_vacuum(space)
-    with pytest.raises(ValueError, match="t_meas must be > 0"):
-        repeatability_experiment(liou, rho0, t_meas=0.0, n_meas=2)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError, match="t_meas must be > 0"):
+            repeatability_experiment(liou, rho0, t_meas=bad, n_meas=2)
     with pytest.raises(ValueError, match="n_meas must be in 2..6"):
         repeatability_experiment(liou, rho0, t_meas=1.0, n_meas=1)
     with pytest.raises(ValueError, match="n_meas must be in 2..6"):

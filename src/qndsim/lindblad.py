@@ -5,16 +5,11 @@ rho' = -i[H, rho] + kappa D[a] rho + gamma1 D[sigma_-] rho
 
 in the frame rotating at the drive frequency, on a truncated Fock space.
 The qubit-conditioned resonator detuning is delta_omega - g*sigma_z, so the
-sigma_z = +1 sector sees delta_omega - g (matching the pointer-state
-formulas in `analytic`).
+sigma_z = +1 sector sees delta_omega - g (matching `analytic`).
 
 The generator does not depend on time in this frame, so evolve propagates
-it exactly: core.expm_action takes Taylor steps of exp(L h) over the whole
-grid through Liouvillian.apply alone, never forming the
-(2 dim)^2 x (2 dim)^2 superoperator, and reads each grid node off the
-terms of the step that contains it, so a finer reporting grid costs no
-more apply calls.  The RK4 integrator in core remains only for the
-time-dependent reduced kernel in `backaction`.
+it exactly with core.expm_action, through Liouvillian.apply alone.  sigma_z
+runs leave the qubit splitting out of H (see build_liouvillian).
 """
 
 from __future__ import annotations
@@ -61,15 +56,19 @@ class Liouvillian:
     norm_bound = 2 ||H - i Gamma - mu I||_1 + sum_k c_k max|v_k|^2, mu the
     midpoint of H's diagonal, bounds the superoperator's 1-norm.
 
+    frame is a qubit splitting left out of H: the lab generator adds
+    -i[(frame/2) sigma_z (x) I, rho], which evolve restores.
+
     apply takes Hermitian rho only: then rho H = (H rho)+, so one real
-    matmul X = H rho gives -i(X - X+), and with real jump weights (all
-    that build_liouvillian makes) the result is exactly Hermitian.  apply
-    uses a scratch array of this object, so it is not re-entrant.
+    matmul X = H rho gives -i(X - X+), and with real jump weights the
+    result is exactly Hermitian.  apply uses a scratch array of this
+    object, so it is not re-entrant.
     """
 
     space: FockSpace
     hamiltonian: np.ndarray
     dissipators: tuple = field(default_factory=tuple)
+    frame: float = 0.0
     norm_bound: float = field(init=False, repr=False)
     _h_real: np.ndarray = field(init=False, repr=False)
     # (flat weights, target slice, source slice) per distinct offset
@@ -158,9 +157,8 @@ class RepeatabilityStats:
 
     n_branches counts the last outcomes still carrying weight (at most 2).
     peak_top_fock is the largest top-two-level population of any propagated
-    mixture at any window node: a mixture's value is the weighted mean of
-    its branches', so it can be below their maximum, and it bounds the
-    truncation error of the states actually propagated.  peak_round is the
+    mixture at any window node (the weighted mean of its branches', so it
+    bounds the truncation error of the states propagated).  peak_round is the
     earliest 1-based round whose own peak is within 1e-12 (relative) of it.
     """
 
@@ -174,31 +172,30 @@ class RepeatabilityStats:
 def build_liouvillian(params: SystemParams, space: FockSpace) -> Liouvillian:
     """Assemble the generator in the drive frame; delta picks the coupling.
 
-    delta == 0: qubit term (epsilon/2) sigma_z and coupling sigma_z, the
-    dispersive QND model.  delta > 0: qubit term (E/2) sigma_z with
-    E = sqrt(epsilon^2 + delta^2) in the energy eigenbasis, and coupling
-    sigma_n = cos(eta) sigma_z + sin(eta) sigma_x with
-    eta = atan2(delta, epsilon), which keeps the QND-violating off-diagonal
-    piece.  Intrinsic qubit dissipators act in the same qubit basis as the
-    Hamiltonian.  Each jump operator is given by its one nonzero diagonal:
-    I (x) a at offset +1, sigma_- (x) I at -dim and sigma_z (x) I at 0.
+    delta == 0: coupling sigma_z, the dispersive QND model.  The qubit term
+    (epsilon/2) sigma_z commutes with the rest of H and with every
+    dissipator, so it is the frame, not part of H.  delta > 0: qubit term
+    (E/2) sigma_z, E = sqrt(epsilon^2 + delta^2), in the energy eigenbasis
+    and coupling sigma_n = cos(eta) sigma_z + sin(eta) sigma_x with
+    eta = atan2(delta, epsilon), which keeps the QND-violating piece.
+    Qubit dissipators act in the same qubit basis.  Each jump operator is
+    its one nonzero diagonal: I (x) a at offset +1, sigma_- (x) I at -dim
+    and sigma_z (x) I at 0.
     """
     sz = qubit_operator("sigma_z")
     ident = qubit_operator("identity")
     if params.delta == 0.0:
-        qubit_h = (params.epsilon / 2.0) * sz
-        coupling = sz
+        energy, coupling, frame = 0.0, sz, params.epsilon
     else:
         eta = math.atan2(params.delta, params.epsilon)
-        energy = math.hypot(params.epsilon, params.delta)
-        qubit_h = (energy / 2.0) * sz
+        energy, frame = math.hypot(params.epsilon, params.delta), 0.0
         coupling = math.cos(eta) * sz + math.sin(eta) * qubit_operator("sigma_x")
 
     d = space.dim
     a = annihilation(space)
     n_op = number_operator(space)
     i_f = np.eye(d, dtype=complex)
-    h = (tensor(qubit_h, i_f)
+    h = (tensor((energy / 2.0) * sz, i_f)
          + tensor(params.delta_omega * ident - params.g * coupling, n_op)
          + tensor(ident, params.f * (a + a.conj().T)))
 
@@ -210,7 +207,8 @@ def build_liouvillian(params: SystemParams, space: FockSpace) -> Liouvillian:
     if params.gamma2 > 0.0:
         dissipators.append((params.gamma2 / 2.0, 0, np.repeat([1.0 + 0j, -1.0], d)))
 
-    return Liouvillian(space=space, hamiltonian=h, dissipators=tuple(dissipators))
+    return Liouvillian(space=space, hamiltonian=h,
+                      dissipators=tuple(dissipators), frame=frame)
 
 
 def _ladder_diagonal(space: FockSpace) -> np.ndarray:
@@ -224,16 +222,15 @@ def evolve(liou: Liouvillian, rho0: DensityMatrix,
            t_grid: Sequence[float]) -> EvolutionRecord:
     """Propagate the master equation exactly over t_grid (must start at 0).
 
-    The number of Liouvillian.apply calls (one real matmul each) depends
-    on the span t_grid[-1] and the generator's norm_bound, not on how many
-    nodes t_grid has (see core.expm_action).
+    The apply calls depend on the span and norm_bound, not on the node
+    count (see core.expm_action).  Each node at time t returns to the lab
+    frame: rho01 times e^(-i frame t), rho10 its conjugate transpose.
 
     rho0 is first projected onto its Hermitian part (m + m+)/2, which is
-    rho0 itself bit for bit when it is exactly Hermitian and otherwise
-    drops the anti-Hermitian noise DensityMatrix admits (up to 1e-10), as
-    Liouvillian.apply needs; every node is then exactly Hermitian.  Raises
-    NumericsError if an evolved state stops satisfying the density-matrix
-    tolerances.
+    rho0 bit for bit when exactly Hermitian and otherwise drops the
+    anti-Hermitian noise DensityMatrix admits (up to 1e-10); every node is
+    then exactly Hermitian.  Raises NumericsError if an evolved state
+    stops satisfying the density-matrix tolerances.
 
     The observables are read off three diagonals of each node: the
     populations give sigma_z, n_mean and top_fock; the +dim diagonal sums
@@ -245,6 +242,11 @@ def evolve(liou: Liouvillian, rho0: DensityMatrix,
     t = np.asarray(t_grid, dtype=float)
     m0 = rho0.matrix
     mats = expm_action(liou.apply, 0.5 * (m0 + m0.conj().T), t, liou.norm_bound)
+    d = liou.space.dim
+    if liou.frame:
+        for m, phase in zip(mats, np.exp(-1j * liou.frame * t)):
+            m[:d, d:] *= phase
+            np.conjugate(m[:d, d:].T, out=m[d:, :d])
 
     states = []
     for tk, m in zip(t, mats):
@@ -253,7 +255,6 @@ def evolve(liou: Liouvillian, rho0: DensityMatrix,
         except ValueError as exc:
             raise NumericsError(f"state invalid at t = {tk:.6g}: {exc}") from exc
 
-    d = liou.space.dim
     pop = np.array([m.diagonal().real for m in mats])
     tr01 = np.array([m.diagonal(d).sum() for m in mats])
     top = pop[:, [d - 2, d - 1, -2, -1]].sum(axis=1)

@@ -439,8 +439,7 @@ _TD_CASES = [
 ]
 
 
-@pytest.mark.parametrize("p, rho0, tg", _TD_CASES)
-def test_time_dependent_matches_adaptive_ode_oracle(p, rho0, tg):
+def _assert_time_dependent_matches_dop853(p, rho0, tg):
     # independent integrator: DOP853 on rho' = -K(t) rho with K from
     # scalar kernel calls at whatever times the adaptive stepper picks
     b = eigenbasis(p.epsilon, p.delta)
@@ -452,6 +451,32 @@ def test_time_dependent_matches_adaptive_ode_oracle(p, rho0, tg):
     assert sol.success
     ref = sol.y.T.reshape(-1, 2, 2)
     assert np.abs(rec.matrices - ref).max() <= 1e-10
+
+
+@pytest.mark.parametrize("p, rho0, tg", _TD_CASES)
+def test_time_dependent_matches_adaptive_ode_oracle(p, rho0, tg):
+    _assert_time_dependent_matches_dop853(p, rho0, tg)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(g=st.floats(0.04, 0.06), f=st.floats(0.8, 1.2),
+       point=st.one_of(
+           st.just((0.05, 1.0, 1.0, 0.0)),    # the reduced job's
+           st.tuples(st.one_of(st.floats(-2.0, -0.05), st.floats(0.05, 2.0)),
+                     st.one_of(st.just(0.0), st.floats(0.05, 2.0)),
+                     st.floats(0.5, 2.0), st.floats(-1.0, 1.0))),
+       mix=st.floats(0.0, 1.0), phase=st.floats(-math.pi, math.pi))
+def test_time_dependent_step_matches_adaptive_ode_oracle_over_draws(
+        g, f, point, mix, phase):
+    # the step rule against DOP853 over the reduced job's (g, f) ranges,
+    # at its operating point and at general epsilon, delta, kappa and
+    # delta_omega, from a mixed state with a complex coherence
+    epsilon, delta, kappa, delta_omega = point
+    p = SystemParams(epsilon=epsilon, delta=delta, g=g, kappa=kappa, f=f,
+                     delta_omega=delta_omega, s_ii=2.0)
+    coh = 0.5 * mix * np.exp(1j * phase)
+    rho0 = np.array([[0.5, coh], [np.conj(coh), 0.5]])
+    _assert_time_dependent_matches_dop853(p, rho0, np.linspace(0.0, 40.0, 21))
 
 
 def test_time_dependent_tabulates_the_kernel_once_per_interval(monkeypatch):

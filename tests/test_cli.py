@@ -380,6 +380,17 @@ def test_repeat_whose_span_overflows_exits_2():
     assert "span 1e+300 is too long to propagate" in err.getvalue()
 
 
+def test_repeat_whose_span_needs_too_many_steps_exits_2():
+    # a finite plan of ~1e11 Taylor steps would run for days: refused
+    # with exit 2 before the first step, not left running
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        assert main(["repeat", "--set", "t_max=1e12",
+                     "--set", "fock_dim=3"]) == 2
+    assert "span 1e+12 is too long to propagate" in err.getvalue()
+    assert "Taylor steps, limit 1e+06" in err.getvalue()
+
+
 def test_run_lindblad_quick():
     cfg = parse_config("epsilon = 0.0\nf = 0.05\nfock_dim = 8\nt_max = 1.0\n"
                        "t_step = 0.1\n", mode="lindblad")

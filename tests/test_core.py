@@ -376,6 +376,31 @@ def test_expm_action_input_validation():
         expm_action(apply, y0, [0.0, 1e300], 1.0)
 
 
+def test_expm_action_refuses_a_plan_over_the_step_budget(monkeypatch):
+    # a finite plan of ~1e11 steps is refused before any apply call, with
+    # the span and the least step count named; at a budget of 3, a span
+    # of exactly 3 theta_55 runs and one just above it does not
+    calls = []
+
+    def apply(y, out):
+        calls.append(None)
+        return np.negative(y, out=out)
+
+    y0 = np.array([1.0 + 0j])
+    with pytest.raises(ValueError, match="span 1e\\+12 is too long to "
+                       "propagate at norm 1: it needs at least 1.01e\\+11 "
+                       "Taylor steps, limit 1e\\+06$"):
+        expm_action(apply, y0, [0.0, 1e12], 1.0)
+    assert not calls
+    monkeypatch.setattr(core, "_MAX_STEPS", 3)
+    span = 3 * core._THETA[55]
+    assert core._taylor_plan(span) == (55, 3)
+    y = expm_action(apply, y0, [0.0, span], 1.0)[-1]
+    assert y[0] == pytest.approx(math.exp(-span), rel=1e-12)
+    with pytest.raises(ValueError, match="needs at least 3.01 Taylor steps"):
+        expm_action(apply, y0, [0.0, 1.003 * span], 1.0)
+
+
 def test_expm_action_flags_nonfinite_state():
     # the operator is far larger than the norm it claims, so the
     # Taylor terms overflow within the first of two substeps (dt / s = 5)

@@ -61,23 +61,23 @@ def plus_vacuum(space):
 # ---------------------------------------------------------------- generator
 
 def test_sigma_z_hamiltonian_blocks():
+    # the splitting (epsilon/2) sigma_z is the frame, not part of H
     space = FockSpace(6)
     p = SystemParams(epsilon=2.0, g=0.3, kappa=0.1, f=0.7, delta_omega=0.5,
                      s_ii=1.0)
-    h = build_liouvillian(p, space).hamiltonian
+    liou = build_liouvillian(p, space)
+    assert liou.frame == p.epsilon
+    h = liou.hamiltonian
     n_op = number_operator(space)
     a = annihilation(space)
     drive = p.f * (a + a.conj().T)
-    eye = np.eye(6)
     d = space.dim
     # sigma_z = +1 sector sees detuning delta_omega - g
     np.testing.assert_allclose(h[:d, :d],
-                               (p.epsilon / 2.0) * eye
-                               + (p.delta_omega - p.g) * n_op + drive,
+                               (p.delta_omega - p.g) * n_op + drive,
                                atol=1e-14)
     np.testing.assert_allclose(h[d:, d:],
-                               -(p.epsilon / 2.0) * eye
-                               + (p.delta_omega + p.g) * n_op + drive,
+                               (p.delta_omega + p.g) * n_op + drive,
                                atol=1e-14)
     np.testing.assert_allclose(h[:d, d:], np.zeros((d, d)), atol=0)
     assert np.max(np.abs(h - h.conj().T)) < 1e-14
@@ -106,10 +106,10 @@ def test_sigma_n_hamiltonian_blocks():
 
 @pytest.mark.parametrize("epsilon", [-2.0, 0.0, 10.0])
 def test_coupling_follows_delta(epsilon):
-    # delta == 0 is (epsilon/2) sigma_z with sigma_z coupling, built here by
-    # hand (epsilon = delta = 0 included); any delta > 0 couples the qubit
-    # blocks through -g sin(eta) n, so that block is exactly zero iff
-    # delta == 0
+    # delta == 0 is sigma_z coupling in the frame of (epsilon/2) sigma_z,
+    # built here by hand (epsilon = delta = 0 included); any delta > 0
+    # keeps the splitting in H and couples the qubit blocks through
+    # -g sin(eta) n, so that block is exactly zero iff delta == 0
     d = 5
     space = FockSpace(d)
     p = SystemParams(epsilon=epsilon, g=0.3, kappa=0.1, gamma1=0.02,
@@ -117,13 +117,16 @@ def test_coupling_follows_delta(epsilon):
     sz = qubit_operator("sigma_z")
     ident = qubit_operator("identity")
     a = annihilation(space)
-    h = (tensor((epsilon / 2.0) * sz, np.eye(d))
-         + tensor(p.delta_omega * ident - p.g * sz, number_operator(space))
+    h = (tensor(p.delta_omega * ident - p.g * sz, number_operator(space))
          + tensor(ident, p.f * (a + a.conj().T)))
-    np.testing.assert_array_equal(build_liouvillian(p, space).hamiltonian, h)
+    liou = build_liouvillian(p, space)
+    np.testing.assert_array_equal(liou.hamiltonian, h)
+    assert liou.frame == epsilon
     for delta in (0.0, 1e-300, 0.05, 0.5):
-        h = build_liouvillian(replace(p, delta=delta), space).hamiltonian
+        liou = build_liouvillian(replace(p, delta=delta), space)
+        h = liou.hamiltonian
         assert (not np.any(h[:d, d:])) == (delta == 0.0), delta
+        assert liou.frame == (epsilon if delta == 0.0 else 0.0), delta
 
 
 def test_dissipators_only_for_nonzero_rates():
@@ -169,6 +172,15 @@ def _superoperator(liou):
         sup += c * (np.kron(l_op, l_op.conj())
                     - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T)))
     return sup
+
+
+def _lab_frame(liou):
+    # the same generator with its frame back in H: _superoperator of it is
+    # _superoperator(liou) plus -i[(frame/2) sigma_z (x) I, .]
+    h_q = tensor((liou.frame / 2.0) * qubit_operator("sigma_z"),
+                 np.eye(liou.space.dim))
+    return Liouvillian(space=liou.space, hamiltonian=liou.hamiltonian + h_q,
+                       dissipators=liou.dissipators)
 
 
 def _random_state(n, seed):
@@ -346,11 +358,12 @@ def test_expm_action_dense_output_matches_dense_exponential(seed, fock_dim,
 
 
 def test_expm_action_accurate_over_a_phase_accumulating_run():
-    # sigma_z coupling at epsilon = 10, like the README run: ~400 rad of qubit
-    # phase over [0, 40], with 81 nodes evaluated inside 45 Taylor steps
+    # sigma_z coupling at epsilon = 10, like the README run, with the
+    # splitting in H: ~400 rad of qubit phase over [0, 40], with 81 nodes
+    # evaluated inside 45 Taylor steps
     p = SystemParams(epsilon=10.0, g=0.3, kappa=0.1, f=0.05, delta_omega=0.3,
                      s_ii=1.0)
-    liou = build_liouvillian(p, FockSpace(6))
+    liou = _lab_frame(build_liouvillian(p, FockSpace(6)))
     rho0 = plus_vacuum(liou.space).matrix
     grid = np.arange(81) * 0.5
     got = expm_action(liou.apply, rho0, grid, liou.norm_bound)
@@ -725,6 +738,29 @@ def test_evolve_observables_match_operator_traces(seed, fock_dim, **phys):
             abs(partial_trace(st, "qubit")[0, 1]), rel=1e-12, abs=1e-14)
 
 
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), fock_dim=st.integers(4, 8),
+       epsilon=st.one_of(st.floats(-10.0, -0.5), st.floats(0.5, 10.0)),
+       **{k: _GENERATOR_DRAW[k] for k in ("g", "kappa", "gamma1", "gamma2",
+                                         "f", "delta_omega")},
+       span=st.floats(0.5, 5.0))
+def test_sigma_z_evolve_matches_the_lab_frame_exponential(seed, fock_dim,
+                                                          span, **phys):
+    # evolve propagates without the splitting and restores it as a phase:
+    # every node must be the dense exponential of the lab-frame generator,
+    # exactly Hermitian
+    liou = _draw_liouvillian(fock_dim, delta=0.0, **phys)
+    assert liou.frame == phys["epsilon"]
+    rho0 = _random_state(2 * fock_dim, seed)
+    grid = np.linspace(0.0, span, 7)
+    rec = evolve(liou, DensityMatrix(liou.space, rho0), grid)
+    sup = _superoperator(_lab_frame(liou))
+    for t, st in zip(grid, rec.states):
+        ref = scipy.linalg.expm(sup * t) @ rho0.ravel()
+        assert np.max(np.abs(st.matrix.ravel() - ref)) <= 1e-12
+        assert np.array_equal(st.matrix, st.matrix.conj().T)
+
+
 def test_evolve_projects_rho0_onto_its_hermitian_part():
     # DensityMatrix admits anti-Hermitian noise up to 1e-10; evolve drops
     # it, so every node is exactly Hermitian and the run equals that of
@@ -763,12 +799,12 @@ def test_truncation_overflow_flags_invalid():
 
 
 def test_unstable_step_raises_numerics_error():
-    # RK4 at step 1 is unstable on this generator (|h lambda| ~ 13) and
-    # overflows near t = 118
+    # RK4 at step 1 is unstable on this lab-frame generator (|h lambda|
+    # ~ 13) and overflows near t = 118
     p = SystemParams(epsilon=10.0, g=0.3, kappa=0.1, f=0.05, delta_omega=0.3,
                      s_ii=1.0)
     space = FockSpace(6)
-    sup = _superoperator(build_liouvillian(p, space))
+    sup = _superoperator(_lab_frame(build_liouvillian(p, space)))
     with np.errstate(all="ignore"):
         with pytest.raises(NumericsError, match="non-finite state at t ="):
             integrate(lambda ts: np.broadcast_to(sup, (len(ts),) + sup.shape),

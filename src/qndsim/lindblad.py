@@ -1,4 +1,4 @@
-"""Master-equation integrator for the joint qubit-resonator state.
+"""The master equation of the joint qubit-resonator state, propagated exactly.
 
 rho' = -i[H, rho] + kappa D[a] rho + gamma1 D[sigma_-] rho
        + (gamma2/2) D[sigma_z] rho,      D[L] rho = (2 L rho L+ - {L+L, rho})/2
@@ -7,9 +7,8 @@ in the frame rotating at the drive frequency, on a truncated Fock space.
 The qubit-conditioned resonator detuning is delta_omega - g*sigma_z, so the
 sigma_z = +1 sector sees delta_omega - g (matching `analytic`).
 
-The generator does not depend on time in this frame, so evolve propagates
-it exactly with core.expm_action, through Liouvillian.apply alone.  sigma_z
-runs leave the qubit splitting out of H (see build_liouvillian).
+The generator is constant in this frame: evolve propagates it with
+core.expm_action through Liouvillian.apply alone.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-# integrate is unused here but stays importable as lindblad.integrate,
-# which bench/trace_job.py wraps by that name
+# bench/trace_job.py wraps lindblad.integrate
 from .core import (DensityMatrix, FockSpace, NumericsError, SystemParams,  # noqa: F401
                    annihilation, expm_action, integrate,
                    number_operator, qubit_operator, tensor)
@@ -61,8 +59,9 @@ class Liouvillian:
 
     apply takes Hermitian rho only: then rho H = (H rho)+, so one real
     matmul X = H rho gives -i(X - X+), and with real jump weights the
-    result is exactly Hermitian.  apply uses a scratch array of this
-    object, so it is not re-entrant.
+    result is exactly Hermitian.  H is kept as a stack of its qubit blocks
+    when its off-diagonal blocks are zero, so X is one batched matmul.
+    apply uses a scratch array, so it is not re-entrant.
     """
 
     space: FockSpace
@@ -70,10 +69,11 @@ class Liouvillian:
     dissipators: tuple = field(default_factory=tuple)
     frame: float = 0.0
     norm_bound: float = field(init=False, repr=False)
-    _h_real: np.ndarray = field(init=False, repr=False)
+    _h_stack: np.ndarray = field(init=False, repr=False)    # (k, n/k, n/k)
     # (flat weights, target slice, source slice) per distinct offset
     _jumps: tuple = field(init=False, repr=False)
     _scratch: np.ndarray = field(init=False, repr=False)
+    _x_stack: np.ndarray = field(init=False, repr=False)    # _scratch as (k, n/k, 2n)
 
     def __post_init__(self) -> None:
         n = len(self.hamiltonian)
@@ -104,16 +104,20 @@ class Liouvillian:
         mu = 0.5 * (diag.max() + diag.min())
         bound = 2.0 * np.linalg.norm(h_eff - mu * np.eye(n), 1)
         bound += sum(c * np.abs(v).max() ** 2 for c, _, v in self.dissipators)
+        h, m = self.hamiltonian.real, n // 2
+        blocks = 2 * m == n and not (h[:m, m:].any() or h[m:, :m].any())
+        h = np.stack([h[:m, :m], h[m:, m:]]) if blocks else h[None]
+        tmp = np.empty_like(h_eff)
         object.__setattr__(self, "norm_bound", float(bound))
-        object.__setattr__(self, "_h_real",
-                           np.ascontiguousarray(self.hamiltonian.real, dtype=float))
+        object.__setattr__(self, "_h_stack", np.ascontiguousarray(h, dtype=float))
         object.__setattr__(self, "_jumps", tuple(jumps))
-        object.__setattr__(self, "_scratch", np.empty_like(h_eff))
+        object.__setattr__(self, "_scratch", tmp)
+        object.__setattr__(self, "_x_stack", tmp.view(float).reshape(len(h), -1, 2 * n))
 
     def apply(self, rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The generator on Hermitian rho, written into out and returned
         (a new array for out=None).  out must be C-contiguous, else
-        ValueError, and must not overlap rho.  Not re-entrant.
+        ValueError, and must not overlap rho.
         """
         # C order, for the float and flat views below
         rho = np.ascontiguousarray(rho, dtype=complex)
@@ -122,7 +126,8 @@ class Liouvillian:
             out = np.empty_like(tmp)
         elif not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
-        np.matmul(self._h_real, rho.view(float), out=tmp.view(float))
+        x = self._x_stack
+        np.matmul(self._h_stack, rho.view(float).reshape(x.shape), out=x)
         np.conjugate(tmp.T, out=out)
         np.subtract(tmp, out, out=out)
         out *= -1j
@@ -157,8 +162,8 @@ class RepeatabilityStats:
 
     n_branches counts the last outcomes still carrying weight (at most 2).
     peak_top_fock is the largest top-two-level population of any propagated
-    mixture at any window node (the weighted mean of its branches', so it
-    bounds the truncation error of the states propagated).  peak_round is the
+    mixture at any window node (a weighted mean of its branches', so it
+    bounds the truncation error of what is propagated).  peak_round is the
     earliest 1-based round whose own peak is within 1e-12 (relative) of it.
     """
 
@@ -226,16 +231,12 @@ def evolve(liou: Liouvillian, rho0: DensityMatrix,
     count (see core.expm_action).  Each node at time t returns to the lab
     frame: rho01 times e^(-i frame t), rho10 its conjugate transpose.
 
-    rho0 is first projected onto its Hermitian part (m + m+)/2, which is
-    rho0 bit for bit when exactly Hermitian and otherwise drops the
-    anti-Hermitian noise DensityMatrix admits (up to 1e-10); every node is
-    then exactly Hermitian.  Raises NumericsError if an evolved state
-    stops satisfying the density-matrix tolerances.
+    rho0 is first projected onto its Hermitian part (m + m+)/2 (rho0 bit
+    for bit when exactly Hermitian), so every node is exactly Hermitian.
+    Raises NumericsError if an evolved state is not a density matrix.
 
-    The observables are read off three diagonals of each node: the
-    populations give sigma_z, n_mean and top_fock; the +dim diagonal sums
-    to tr rho01, so sigma_x = 2 Re tr rho01 and coherence01 = |tr rho01|;
-    and the -1 diagonal against that of I (x) a gives a_mean.
+    The observables come from three diagonals of each node: populations,
+    the +dim diagonal (sums to tr rho01) and the -1 diagonal (a_mean).
     """
     if rho0.space.dim != liou.space.dim:
         raise ValueError("rho0 lives on a different Fock space than the generator")
@@ -283,12 +284,11 @@ def repeatability_experiment(liou: Liouvillian, rho0: DensityMatrix,
 
     Each round evolves the state for t_meas, then projects the qubit onto
     its sigma_z basis (the energy basis when delta > 0), keeping both
-    outcomes.  The statistics need only each branch's last outcome, and
-    evolution is linear, so branches sharing a last outcome are carried,
-    exactly, as one normalized mixture weighted by its trace: at most two
-    per round, 1 + 2(n_meas - 1) evolutions against the outcome tree's
-    2^n_meas - 1.  Pieces lighter than 1e-12 are dropped.  Returns the
-    probability that consecutive outcomes agree, per pair.
+    outcomes.  Evolution is linear and the statistics need only each
+    branch's last outcome, so branches sharing one are carried exactly as
+    one trace-weighted mixture: 1 + 2(n_meas - 1) evolutions, not the
+    outcome tree's 2^n_meas - 1.  Pieces lighter than 1e-12 are dropped.
+    Returns the probability that consecutive outcomes agree, per pair.
     """
     if not t_meas > 0.0:
         raise ValueError(f"t_meas must be > 0, got {t_meas}")

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qndsim import analytic, backaction, cli
+from qndsim import analytic, backaction, cli, lindblad
 from qndsim.cli import (
     MODES,
     ConfigError,
@@ -380,9 +380,14 @@ def test_repeat_whose_span_overflows_exits_2():
     assert "span 1e+300 is too long to propagate" in err.getvalue()
 
 
-def test_repeat_whose_span_needs_too_many_steps_exits_2():
+def test_repeat_whose_span_needs_too_many_steps_exits_2(monkeypatch):
     # a finite plan of ~1e11 Taylor steps would run for days: refused
-    # with exit 2 before the first step, not left running
+    # with exit 2 before the first step, not left running; an apply call
+    # fails the test at once instead
+    def refused(self, rho, out=None):
+        raise AssertionError("apply ran for a plan over the step budget")
+
+    monkeypatch.setattr(lindblad.Liouvillian, "apply", refused)
     err = io.StringIO()
     with redirect_stderr(err), redirect_stdout(io.StringIO()):
         assert main(["repeat", "--set", "t_max=1e12",

@@ -233,6 +233,24 @@ def test_apply_merges_jump_operators_that_share_an_offset():
     _assert_apply_matches_commutator_form(liou, rho)
 
 
+def test_hamiltonian_stack_follows_the_qubit_blocks_not_the_mode():
+    # H is applied as its two qubit blocks only while both off-diagonal
+    # blocks are zero: one coupling entry set there, with the same frame
+    # and jumps, takes the whole matrix
+    base = _draw_liouvillian(5, epsilon=1.0, delta=0.0, g=0.2, kappa=0.3,
+                             gamma1=0.05, gamma2=0.02, f=0.4, delta_omega=0.1)
+    d = base.space.dim
+    coupled = base.hamiltonian.copy()
+    coupled[0, d] = coupled[d, 0] = 0.3
+    rng = np.random.default_rng(6)
+    rho = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
+    for h, k in ((base.hamiltonian, 2), (coupled, 1)):
+        liou = Liouvillian(space=base.space, hamiltonian=h,
+                           dissipators=base.dissipators, frame=base.frame)
+        assert len(liou._h_stack) == k
+        _assert_apply_matches_commutator_form(liou, rho)
+
+
 def test_liouvillian_rejects_a_complex_hamiltonian():
     base = build_liouvillian(P_ME, FockSpace(4))
     h = base.hamiltonian.copy()

@@ -1,7 +1,7 @@
 """Deterministic command-line front end.
 
 Subcommands run closed-form sweeps (analytic, backaction), the figure
-grids (fig2, fig3), the master-equation integrator (lindblad) and the
+grids (fig2, fig3), the exact master-equation run (lindblad) and the
 repeated-measurement experiment (repeat), emitting CSV whose float fields
 are shortest round-trip reprs: identical inputs give byte-identical files.
 
@@ -276,52 +276,39 @@ def _time_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(0.0, n * cfg.t_step, n + 1)
 
 
+def _start(cfg: RunConfig, qubit: np.ndarray):
+    # the generator and rho0 = qubit (x) vacuum of a master-equation run
+    liou = lindblad.build_liouvillian(cfg.system_params(), FockSpace(cfg.fock_dim))
+    return liou, DensityMatrix.from_product(liou.space, qubit,
+                                            fock_vacuum(liou.space))
+
+
 def run_lindblad(cfg: RunConfig):
     """Master-equation run from (|0> + |1>)/sqrt(2) times vacuum.
 
-    Returns (SweepResult, truncation): truncation is None when the top two
-    Fock levels stayed under the threshold at every node, else a message
-    with their peak population, its time and the first time it was exceeded.
+    Returns (SweepResult, truncation), truncation being the run's verdict
+    on the Fock truncation (see lindblad.EvolutionRecord).
     """
-    liou = lindblad.build_liouvillian(cfg.system_params(), FockSpace(cfg.fock_dim))
-    plus = 0.5 * np.ones((2, 2), dtype=complex)
-    rho0 = DensityMatrix.from_product(liou.space, plus, fock_vacuum(liou.space))
+    liou, rho0 = _start(cfg, np.full((2, 2), 0.5, dtype=complex))
     rec = lindblad.evolve(liou, rho0, _time_grid(cfg))
     rows = [(float(t), rec.sigma_z[k], rec.sigma_x[k], rec.a_mean[k].real,
              rec.a_mean[k].imag, rec.n_mean[k], rec.coherence01[k],
              rec.top_fock[k]) for k, t in enumerate(rec.t_grid)]
-    result = SweepResult(columns=("t", "sigma_z", "sigma_x", "re_a", "im_a",
-                                  "n_photon", "coherence01", "top_fock"),
-                         rows=rows)
-    if rec.valid:
-        return result, None
-    threshold = liou.space.top_population_threshold
-    peak = int(np.argmax(rec.top_fock))
-    first = int(np.argmax(rec.top_fock > threshold))
-    return result, (f"peak top-two-level population {rec.top_fock[peak]:.2e} "
-                    f"at t = {rec.t_grid[peak]:g}, threshold {threshold:g}, "
-                    f"first exceeded at t = {rec.t_grid[first]:g}")
+    return SweepResult(columns=("t", "sigma_z", "sigma_x", "re_a", "im_a",
+                                "n_photon", "coherence01", "top_fock"),
+                       rows=rows), rec.truncation
 
 
 def run_repeat(cfg: RunConfig):
-    """Three consecutive qubit measurements separated by t_max windows.
-
-    Returns (SweepResult, truncation) like run_lindblad; the message names
-    the measurement round of the peak top-two-level population.
+    """Three consecutive qubit measurements separated by t_max windows,
+    from |0> times vacuum.  Returns (SweepResult, truncation) like
+    run_lindblad.
     """
-    liou = lindblad.build_liouvillian(cfg.system_params(), FockSpace(cfg.fock_dim))
-    ground = np.zeros((2, 2), dtype=complex)
-    ground[0, 0] = 1.0
-    rho0 = DensityMatrix.from_product(liou.space, ground, fock_vacuum(liou.space))
+    liou, rho0 = _start(cfg, np.diag([1.0 + 0j, 0.0]))
     stats = lindblad.repeatability_experiment(liou, rho0, t_meas=cfg.t_max,
                                               n_meas=3)
     rows = [(float(i + 1), float(p)) for i, p in enumerate(stats.pair_agreement)]
-    result = SweepResult(columns=("pair", "agreement"), rows=rows)
-    if stats.valid:
-        return result, None
-    return result, (f"peak top-two-level population {stats.peak_top_fock:.2e} "
-                    f"in measurement round {stats.peak_round}, threshold "
-                    f"{liou.space.top_population_threshold:g}")
+    return SweepResult(columns=("pair", "agreement"), rows=rows), stats.truncation
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -141,8 +141,8 @@ class Liouvillian:
 class EvolutionRecord:
     """Time series of states and derived observables from one evolve() call.
 
-    valid is False when the top two Fock levels ever exceed the space's
-    population threshold (truncation no longer trustworthy).
+    truncation is None, or says how far and when the top two Fock levels
+    passed their threshold.
     """
 
     t_grid: np.ndarray
@@ -153,7 +153,7 @@ class EvolutionRecord:
     n_mean: np.ndarray
     coherence01: np.ndarray
     top_fock: np.ndarray
-    valid: bool
+    truncation: str | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,17 +161,15 @@ class RepeatabilityStats:
     """Consecutive-outcome statistics from repeatability_experiment.
 
     n_branches counts the last outcomes still carrying weight (at most 2).
-    peak_top_fock is the largest top-two-level population of any propagated
-    mixture at any window node (a weighted mean of its branches', so it
-    bounds the truncation error of what is propagated).  peak_round is the
-    earliest 1-based round whose own peak is within 1e-12 (relative) of it.
+    top_fock holds each round's peak top-two-level population of a
+    propagated mixture (a weighted mean of its branches', so it bounds
+    the truncation error of what is propagated), truncation its verdict.
     """
 
     pair_agreement: np.ndarray   # P(outcome j+1 == outcome j), length n_meas-1
     n_branches: int
-    valid: bool
-    peak_top_fock: float
-    peak_round: int
+    top_fock: np.ndarray
+    truncation: str | None
 
 
 def build_liouvillian(params: SystemParams, space: FockSpace) -> Liouvillian:
@@ -266,16 +264,20 @@ def evolve(liou: Liouvillian, rho0: DensityMatrix,
         a_mean=np.array([m.diagonal(-1) for m in mats]) @ _ladder_diagonal(liou.space),
         n_mean=pop @ np.tile(np.arange(d, dtype=float), 2),
         coherence01=np.abs(tr01), top_fock=top,
-        valid=bool(np.all(top <= liou.space.top_population_threshold)))
+        truncation=_truncation(top, "at t = {:g}", t))
 
 
-def _earliest_peak(round_peaks: Sequence[float]) -> tuple[float, int]:
-    # the largest per-round peak, and the first 1-based round within 1e-12
-    # (relative) of it
-    peak = max(round_peaks)
-    first = next(k for k, p in enumerate(round_peaks, 1)
-                 if p >= peak - 1e-12 * peak)
-    return peak, first
+def _truncation(top: np.ndarray, label: str, where: Sequence) -> str | None:
+    # None if top stays under the threshold; else the peak, at the first
+    # entry within 1e-12 (relative) of it, and the first entry over the
+    # threshold, placed by label.format(where[k])
+    thr = FockSpace.top_population_threshold
+    peak = top.max()
+    if peak <= thr:
+        return None
+    at, first = np.argmax(top >= peak - 1e-12 * peak), np.argmax(top > thr)
+    return (f"peak top-two-level population {peak:.2e} {label.format(where[at])}, "
+            f"threshold {thr:g}, first exceeded {label.format(where[first])}")
 
 
 def repeatability_experiment(liou: Liouvillian, rho0: DensityMatrix,
@@ -287,8 +289,7 @@ def repeatability_experiment(liou: Liouvillian, rho0: DensityMatrix,
     outcomes.  Evolution is linear and the statistics need only each
     branch's last outcome, so branches sharing one are carried exactly as
     one trace-weighted mixture: 1 + 2(n_meas - 1) evolutions, not the
-    outcome tree's 2^n_meas - 1.  Pieces lighter than 1e-12 are dropped.
-    Returns the probability that consecutive outcomes agree, per pair.
+    outcome tree's 2^n_meas - 1, less pieces lighter than _BRANCH_PRUNE.
     """
     if not t_meas > 0.0:
         raise ValueError(f"t_meas must be > 0, got {t_meas}")
@@ -301,14 +302,13 @@ def repeatability_experiment(liou: Liouvillian, rho0: DensityMatrix,
     mixtures = {0: (1.0, rho0)}
     agree = np.zeros(n_meas - 1)
     total = np.zeros(n_meas - 1)
-    round_peaks = [0.0] * n_meas
+    top = np.zeros(n_meas)
 
     for round_idx in range(n_meas):
         acc = {}  # outcome -> sum of weight * its projected block
         for last, (weight, state) in mixtures.items():
             rec = evolve(liou, state, window)
-            round_peaks[round_idx] = max(round_peaks[round_idx],
-                                         float(rec.top_fock.max()))
+            top[round_idx] = max(top[round_idx], rec.top_fock.max())
             m = rec.states[-1].matrix
             for k in (0, 1):
                 sl = slice(k * dim, (k + 1) * dim)
@@ -328,8 +328,7 @@ def repeatability_experiment(liou: Liouvillian, rho0: DensityMatrix,
 
     if np.any(total <= 0.0):
         raise NumericsError("all branches pruned; no surviving outcome weight")
-    peak, peak_round = _earliest_peak(round_peaks)
     return RepeatabilityStats(pair_agreement=agree / total,
-                              n_branches=len(mixtures),
-                              valid=peak <= liou.space.top_population_threshold,
-                              peak_top_fock=peak, peak_round=peak_round)
+                              n_branches=len(mixtures), top_fock=top,
+                              truncation=_truncation(top, "in measurement round {}",
+                                                     range(1, n_meas + 1)))

@@ -533,7 +533,7 @@ def test_main_default_repeat_exit_3_names_the_round(tmp_path):
     with redirect_stderr(err):
         assert main(["repeat", "-o", str(out)]) == 3
     assert ("peak top-two-level population 5.31e-01 in measurement round 2, "
-            "threshold 1e-06") in err.getvalue()
+            "threshold 1e-06, first exceeded in measurement round 1") in err.getvalue()
     assert parse_csv(out.read_text()).columns == ("pair", "agreement")
 
 

@@ -38,7 +38,7 @@ from qndsim import core, lindblad
 from qndsim.backaction import eigenbasis, evolve_reduced, rates
 from qndsim.lindblad import (
     Liouvillian,
-    _earliest_peak,
+    _truncation,
     build_liouvillian,
     evolve,
     repeatability_experiment,
@@ -386,9 +386,16 @@ def test_expm_action_accurate_over_a_phase_accumulating_run():
     grid = np.arange(81) * 0.5
     got = expm_action(liou.apply, rho0, grid, liou.norm_bound)
     sup = _superoperator(liou)
-    for t, m in zip(grid, got):
-        ref = scipy.linalg.expm(sup * t) @ rho0.ravel()
+    # one exponential of the uniform node spacing, chained; its own
+    # rounding at the last node is checked against a direct exponential
+    step = scipy.linalg.expm(sup * 0.5)
+    ref = rho0.ravel()
+    for k, m in enumerate(got):
+        if k:
+            ref = step @ ref
         assert np.max(np.abs(m.ravel() - ref)) <= 1e-12
+    direct = scipy.linalg.expm(sup * grid[-1]) @ rho0.ravel()
+    assert np.max(np.abs(ref - direct)) <= 1e-13
 
 
 def _expm_action_eager(apply, y0, t, norm):
@@ -709,7 +716,7 @@ def test_driven_cavity_reaches_coherent_steady_state():
     alpha = -1j * p.f / (p.kappa / 2.0 + 1j * p.delta_omega)
     assert rec.a_mean[-1] == pytest.approx(alpha, rel=1e-6)
     assert rec.n_mean[-1] == pytest.approx(abs(alpha) ** 2, rel=1e-6)
-    assert rec.valid
+    assert rec.truncation is None
 
 
 def test_evolution_record_observables():
@@ -721,7 +728,7 @@ def test_evolution_record_observables():
     assert rec.coherence01[0] == pytest.approx(0.5, abs=1e-14)
     assert rec.a_mean[0] == 0.0
     assert np.all(np.diff(rec.n_mean[:3]) > 0.0)
-    assert rec.valid
+    assert rec.truncation is None
     traces = [abs(st.matrix.trace() - 1.0) for st in rec.states]
     assert max(traces) < 1e-9
 
@@ -813,7 +820,8 @@ def test_truncation_overflow_flags_invalid():
     space = FockSpace(4)
     rec = evolve(build_liouvillian(p, space), plus_vacuum(space),
                  np.array([0.0, 60.0]))
-    assert not rec.valid
+    assert rec.truncation.endswith(" at t = 60, threshold 1e-06, "
+                                   "first exceeded at t = 60")
 
 
 def test_unstable_step_raises_numerics_error():
@@ -950,7 +958,7 @@ def test_master_equation_dephasing_peaks_at_optimal_detuning():
         p = replace(P_ME, delta_omega=dw)
         rec = evolve(build_liouvillian(p, space), plus_vacuum(space),
                      [0.0, 60.0, 100.0])
-        assert rec.valid
+        assert rec.truncation is None
         slope = -math.log(rec.coherence01[2] / rec.coherence01[1]) / 40.0
         closed = -math.log(abs(coherence_solution(p, 100.0, 1.0))
                            / abs(coherence_solution(p, 60.0, 1.0))) / 40.0
@@ -968,7 +976,7 @@ def test_repeated_measurements_agree_in_sigma_z_mode():
                                      t_meas=20.0, n_meas=3)
     np.testing.assert_allclose(stats.pair_agreement, 1.0, atol=1e-12)
     assert stats.n_branches == 2
-    assert stats.valid
+    assert stats.truncation is None
 
 
 def test_repeatability_single_branch_from_pure_sector():
@@ -995,35 +1003,59 @@ def test_repeatability_validation():
         repeatability_experiment(liou, rho0, t_meas=1.0, n_meas=7)
 
 
-def test_peak_round_is_earliest_within_rounding():
+def test_truncation_places_the_peak_at_the_earliest_entry_within_rounding():
     peak = 0.5305297743919027
-    # a later round that beats the first by 1 ulp does not take the peak
-    assert _earliest_peak([0.1, peak, np.nextafter(peak, 1.0)]) == \
-        (np.nextafter(peak, 1.0), 2)
-    assert _earliest_peak([0.1, np.nextafter(peak, 1.0), peak]) == \
-        (np.nextafter(peak, 1.0), 2)
-    # a real difference still moves it
-    assert _earliest_peak([peak, peak * (1.0 + 1e-9)]) == \
-        (peak * (1.0 + 1e-9), 2)
-    assert _earliest_peak([0.0, 0.0]) == (0.0, 1)
+    rounds = ("in measurement round {}", range(1, 4))
+    nodes = ("at t = {:g}", [0.0, 0.5, 1.0])
+    for label, where in (rounds, nodes):
+        def verdict(top):
+            return _truncation(np.array(top), label, where)
+
+        def says(value, at, first):
+            return (f"peak top-two-level population {value:.2e} "
+                    f"{label.format(where[at])}, threshold 1e-06, "
+                    f"first exceeded {label.format(where[first])}")
+
+        # a later entry that beats the first by 1 ulp does not take the peak
+        # (np.argmax would name it): rounds and evolve's nodes alike
+        assert verdict([0.1, peak, np.nextafter(peak, 1.0)]) == says(peak, 1, 0)
+        assert verdict([0.1, np.nextafter(peak, 1.0), peak]) == says(peak, 1, 0)
+        # a real difference still moves it
+        assert verdict([peak, peak * (1.0 + 1e-9)]) == says(peak, 1, 0)
+        assert verdict([0.0, 2e-6, 0.1]) == says(0.1, 2, 1)
+        assert verdict([0.0, 0.0]) is None
+        assert verdict([1e-6, 0.0]) is None
+
+
+def test_truncation_formats_only_the_entries_it_names():
+    # a valid series formats nothing; an invalid one only its two entries
+    assert _truncation(np.array([1e-7, 1e-6]), "{:q}", None) is None
+    where = {1: 0.25, 3: 0.75}
+    assert _truncation(np.array([0.0, 0.5, 0.1, 0.7]), "at t = {:g}", where) == \
+        ("peak top-two-level population 7.00e-01 at t = 0.75, threshold 1e-06, "
+         "first exceeded at t = 0.25")
 
 
 def test_repeatability_reports_peak_top_fock_and_round():
     space = FockSpace(12)
     stats = repeatability_experiment(build_liouvillian(P_ME, space),
                                      plus_vacuum(space), t_meas=20.0, n_meas=3)
-    assert stats.valid
-    assert 0.0 < stats.peak_top_fock <= space.top_population_threshold
-    assert stats.peak_round in (1, 2, 3)
+    assert stats.truncation is None
+    assert stats.top_fock.shape == (3,)
+    assert 0.0 < stats.top_fock.max() <= space.top_population_threshold
     # the resonator is never reset, so a small space overflows in a later
     # round than the first, by more than the first round's own peak
     small = FockSpace(4)
     liou = build_liouvillian(P_ME, small)
     first = evolve(liou, plus_vacuum(small), [0.0, 20.0]).top_fock.max()
     stats = repeatability_experiment(liou, plus_vacuum(small), t_meas=20.0, n_meas=3)
-    assert not stats.valid
-    assert stats.peak_top_fock > max(first, small.top_population_threshold)
-    assert stats.peak_round > 1
+    assert stats.top_fock.max() > max(first, small.top_population_threshold)
+    assert np.argmax(stats.top_fock) > 0
+    assert stats.top_fock[0] > small.top_population_threshold
+    assert stats.truncation == (
+        f"peak top-two-level population {stats.top_fock.max():.2e} in measurement "
+        f"round {np.argmax(stats.top_fock) + 1}, threshold 1e-06, "
+        "first exceeded in measurement round 1")
 
 
 # criterion 6's sigma_n point with intrinsic decay, so that every branch of
@@ -1083,10 +1115,10 @@ def test_merged_mixtures_match_the_unpruned_outcome_tree(n_meas):
                   / sum(w for w, j, _ in tops if j == last)).max()
                  for last in {j for _, j, _ in tops})
              for tops in rounds]
-    assert stats.peak_top_fock == pytest.approx(max(mixed), rel=1e-12)
-    assert stats.peak_round == _earliest_peak(mixed)[1]
+    assert stats.top_fock.max() == pytest.approx(max(mixed), rel=1e-12)
+    assert np.argmax(stats.top_fock) == np.argmax(mixed)
     per_branch = max(top.max() for tops in rounds for _, _, top in tops)
-    assert stats.peak_top_fock <= per_branch
+    assert stats.top_fock.max() <= per_branch
 
 
 def test_repeatability_evolves_each_last_outcome_once_per_round(monkeypatch):
@@ -1103,7 +1135,7 @@ def test_repeatability_evolves_each_last_outcome_once_per_round(monkeypatch):
                                      n_meas=6)
     assert len(calls) == 1 + 2 * (6 - 1)
     assert stats.n_branches == 2
-    assert stats.valid
+    assert stats.truncation is None
 
 
 # two calls of each builder give equal but separately built instances

@@ -9,7 +9,7 @@ deterministic CSV command line (cli).
 from .core import (DensityMatrix, FockSpace, NumericsError, SystemParams,
                    annihilation, expm_action, integrate, number_operator,
                    qubit_operator, tensor)
-from .analytic import (PointerState, alpha_of_t, gamma_m, outcome_probability,
+from .analytic import (alpha_of_t, gamma_m, outcome_probability,
                        pointer_state, signal_amplitude)
 from .lindblad import (EvolutionRecord, Liouvillian, RepeatabilityStats,
                        build_liouvillian, evolve, repeatability_experiment)

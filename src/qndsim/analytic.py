@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,7 +17,6 @@ import numpy as np
 from .core import SystemParams
 
 __all__ = [
-    "PointerState",
     "pointer_state",
     "alpha_of_t",
     "signal_amplitude",
@@ -28,55 +26,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PointerState:
-    """Resonator response conditioned on one qubit sigma_z eigenvalue.
-
-    detuning is the qubit-shifted value delta_omega - g*sigma_z; the
-    trajectory alpha_i(t) spirals from 0 to the steady point with
-    magnitude amplitude and phase `phase`.
-    """
-
-    sigma_z: int
-    amplitude: float
-    phase: float
-    detuning: float
-
-    def steady_value(self) -> complex:
-        return self.amplitude * np.exp(1j * self.phase)
-
-
-def pointer_state(params: SystemParams, sigma_z: int) -> PointerState:
-    """Conditional amplitude/phase for the given qubit eigenvalue (+1/-1).
-
-    phase = arg(-if / (kappa/2 + i det)) = -atan2(det, kappa/2) - pi/2, the
-    argument of the steady drive response, so steady_value() and alpha_of_t()
-    track the master-equation conditional amplitude in every sector.  (The
-    opposite atan2 sign describes the same circle traversed in the conjugate
-    frame; only phase differences enter the outcome probabilities.)  At
-    f = 0 the amplitude is 0 and the phase carries no information.
-    """
+def _detuning(params: SystemParams, sigma_z: int) -> float:
     if sigma_z not in (1, -1):
         raise ValueError(f"sigma_z must be +1 or -1, got {sigma_z}")
-    det = params.delta_omega - params.g * sigma_z
-    alpha = params.steady_amplitude(det)
-    return PointerState(sigma_z=sigma_z, amplitude=abs(alpha),
-                        phase=cmath.phase(alpha), detuning=det)
+    return params.delta_omega - params.g * sigma_z
 
 
-def alpha_of_t(ps: PointerState, kappa: float, t):
-    """Conditional resonator amplitude alpha_i(t); accepts scalar or array t.
+def pointer_state(params: SystemParams, sigma_z: int) -> complex:
+    """Steady resonator amplitude alpha = -if/(kappa/2 + i det) at the
+    qubit-conditioned detuning det = delta_omega - g*sigma_z (sigma_z = +-1).
 
-    alpha_i(t) = A_i e^(i phi_i) [1 - e^(-i delta_i t - kappa t / 2)],
-    starting from vacuum and converging to the steady point.  Equals the
-    vacuum-start solution of d<a>/dt = -if - (i delta_i + kappa/2) <a>, the
-    conditional master-equation amplitude.
+    |alpha|^2 is the photon number.  The phase, -atan2(det, kappa/2) - pi/2,
+    is that of the steady drive response, which the master-equation
+    conditional amplitude reaches in every sector; only phase differences
+    enter the outcome probabilities.
     """
+    return params.steady_amplitude(_detuning(params, sigma_z))
+
+
+def alpha_of_t(params: SystemParams, sigma_z: int, t):
+    """Conditional resonator amplitude alpha(t) = alpha [1 - e^(-(i det +
+    kappa/2) t)] from vacuum, alpha = pointer_state(params, sigma_z); the
+    vacuum-start solution of d<a>/dt = -if - (i det + kappa/2) <a>.
+    Accepts scalar or array t.
+    """
+    det = _detuning(params, sigma_z)
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0.0):
         raise ValueError("t must be >= 0")
-    decay = np.exp(-(1j * ps.detuning + kappa / 2.0) * t)
-    out = ps.steady_value() * (1.0 - decay)
+    decay = np.exp(-(1j * det + params.kappa / 2.0) * t)
+    out = params.steady_amplitude(det) * (1.0 - decay)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -87,8 +66,8 @@ def signal_amplitude(params: SystemParams) -> complex:
     matters for outcome probabilities (the measured quadrature is rotated
     to arg A).
     """
-    phi0 = pointer_state(params, +1).phase
-    phi1 = pointer_state(params, -1).phase
+    phi0 = cmath.phase(pointer_state(params, +1))
+    phi1 = cmath.phase(pointer_state(params, -1))
     return params.f * (np.exp(2j * phi0) - np.exp(2j * phi1)) / math.sqrt(2.0)
 
 
@@ -148,7 +127,7 @@ def gamma_m(params: SystemParams) -> float:
     n_+ and n_- are the steady photon numbers at detunings dw + g
     (sigma_z = -1) and dw - g (sigma_z = +1).
     """
-    n_plus = pointer_state(params, -1).amplitude ** 2
-    n_minus = pointer_state(params, +1).amplitude ** 2
+    n_plus = abs(pointer_state(params, -1)) ** 2
+    n_minus = abs(pointer_state(params, +1)) ** 2
     return ((n_plus + n_minus) * params.kappa * params.g ** 2
             / (params.kappa ** 2 / 4.0 + params.g ** 2 + params.delta_omega ** 2))

@@ -241,8 +241,8 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
             return (float(v),
                     analytic.outcome_probability(p, 1.0, MEASURE_TIME, +1),
                     analytic.gamma_m(p),
-                    analytic.pointer_state(p, -1).amplitude ** 2,
-                    analytic.pointer_state(p, +1).amplitude ** 2)
+                    abs(analytic.pointer_state(p, -1)) ** 2,
+                    abs(analytic.pointer_state(p, +1)) ** 2)
 
         columns = (cfg.sweep_param, "p_measure_0", "gamma_m", "n_plus", "n_minus")
     elif cfg.mode == "backaction":

@@ -23,7 +23,7 @@ from time import perf_counter
 import numpy as np
 from scipy import integrate as sci_integrate
 
-from qndsim.analytic import alpha_of_t, gamma_m, optimal_detuning, pointer_state
+from qndsim.analytic import alpha_of_t, gamma_m, optimal_detuning
 from qndsim.backaction import eigenbasis, evolve_reduced, rates, spectral_density
 from qndsim.cli import main, parse_config, run_fig2, run_fig3
 from qndsim.core import (
@@ -74,7 +74,7 @@ def test_criterion_1_conditional_amplitudes_track_pointer_states():
     for qubit_index, sz in ((0, +1), (1, -1)):
         me = np.array([conditional_amplitude(st, qubit_index)
                        for st in rec.states])
-        ref = alpha_of_t(pointer_state(p, sz), p.kappa, tg)
+        ref = alpha_of_t(p, sz, tg)
         worst = max(worst, float(np.max(np.abs(me - ref))))
     elapsed = perf_counter() - t0
     ok = worst <= 1e-6 and rec.truncation is None and elapsed <= 30.0
@@ -116,11 +116,8 @@ def _emitted_field_overlap(p: SystemParams, tg: np.ndarray) -> np.ndarray:
     scipy quadrature of the closed-form pointer trajectories, one grid
     interval at a time.
     """
-    ps_plus, ps_minus = pointer_state(p, -1), pointer_state(p, +1)
-
     def sep2(s: float) -> float:
-        return abs(alpha_of_t(ps_plus, p.kappa, s)
-                   - alpha_of_t(ps_minus, p.kappa, s)) ** 2
+        return abs(alpha_of_t(p, -1, s) - alpha_of_t(p, +1, s)) ** 2
 
     pieces = [sci_integrate.quad(sep2, a, b, epsabs=0.0, epsrel=1e-13)[0]
               for a, b in zip(tg[:-1], tg[1:])]
@@ -131,11 +128,10 @@ def test_criterion_2b_overlap_envelope():
     t0 = perf_counter()
     p, tg, rec = _dephasing_record()
     t, coh = tg[1:], rec.coherence01[1:]
-    ps_plus, ps_minus = pointer_state(p, -1), pointer_state(p, +1)
     envelope = np.array([0.5 * math.exp(-p.gamma2 * tk)
-                         * math.exp(-abs(alpha_of_t(ps_plus, p.kappa, tk)
-                                         - alpha_of_t(ps_minus, p.kappa, tk)) ** 2
-                                    / 2.0) for tk in t])
+                         * math.exp(-abs(alpha_of_t(p, -1, tk)
+                                         - alpha_of_t(p, +1, tk)) ** 2 / 2.0)
+                         for tk in t])
     dev = np.abs(envelope * _emitted_field_overlap(p, tg)[1:] - coh) / coh
     excess = envelope / coh - 1.0
     bounded = bool(np.all(envelope >= coh * (1.0 - 1e-12)))

@@ -6,6 +6,7 @@ weak-coupling forms of the dephasing rate below, and frozen values
 computed from the defining formulas at pinned parameter points.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -59,26 +60,26 @@ def weak_coupling_gamma_m(p: SystemParams) -> float:
 # ---------------------------------------------------------------- pointer states
 
 def test_pointer_state_detunings_and_amplitudes():
-    ps_p = pointer_state(P_FIG, +1)
-    ps_m = pointer_state(P_FIG, -1)
+    a_p = pointer_state(P_FIG, +1)
+    a_m = pointer_state(P_FIG, -1)
     # qubit-conditioned detuning delta_omega - g sigma_z
-    assert ps_p.detuning == pytest.approx(0.0, abs=1e-15)
-    assert ps_m.detuning == pytest.approx(0.6)
+    assert P_FIG.delta_omega - P_FIG.g * (+1) == pytest.approx(0.0, abs=1e-15)
+    assert P_FIG.delta_omega - P_FIG.g * (-1) == pytest.approx(0.6)
     # A = f / sqrt(det^2 + kappa^2/4); frozen at this point
-    assert ps_p.amplitude == pytest.approx(20.0, rel=1e-14)
-    assert ps_m.amplitude == pytest.approx(1.6609095970747996, rel=1e-12)
+    assert abs(a_p) == pytest.approx(20.0, rel=1e-14)
+    assert abs(a_m) == pytest.approx(1.6609095970747996, rel=1e-12)
 
 
 def test_pointer_state_phase_is_steady_drive_response():
     # at zero conditioned detuning the response lags the drive by pi/2
-    assert pointer_state(P_FIG, +1).phase == pytest.approx(-math.pi / 2.0)
-    assert pointer_state(P_FIG, -1).phase == pytest.approx(-3.058451421701352,
-                                                           rel=1e-12)
-    # steady_value must equal -if/(kappa/2 + i det) in every sector
+    assert cmath.phase(pointer_state(P_FIG, +1)) == pytest.approx(-math.pi / 2.0)
+    assert cmath.phase(pointer_state(P_FIG, -1)) == pytest.approx(
+        -3.058451421701352, rel=1e-12)
+    # the amplitude must equal -if/(kappa/2 + i det) in every sector
     for sz in (+1, -1):
-        ps = pointer_state(P_FIG, sz)
-        ref = -1j * P_FIG.f / (P_FIG.kappa / 2.0 + 1j * ps.detuning)
-        assert ps.steady_value() == pytest.approx(ref, rel=1e-13)
+        det = P_FIG.delta_omega - P_FIG.g * sz
+        ref = -1j * P_FIG.f / (P_FIG.kappa / 2.0 + 1j * det)
+        assert pointer_state(P_FIG, sz) == pytest.approx(ref, rel=1e-13)
 
 
 def test_pointer_state_validates_sigma_z():
@@ -86,45 +87,57 @@ def test_pointer_state_validates_sigma_z():
         pointer_state(P_FIG, 0)
 
 
+def test_pointer_state_is_the_steady_amplitude_at_the_conditioned_detuning():
+    # one formula for the steady amplitude: pointer_state is
+    # SystemParams.steady_amplitude at delta_omega - g sigma_z, bit for bit
+    for p in (P_FIG, P_WEAK,
+              SystemParams(f=0.8, kappa=0.15, g=0.3, delta_omega=-0.45)):
+        for sz in (+1, -1):
+            assert pointer_state(p, sz) == p.steady_amplitude(
+                p.delta_omega - p.g * sz)
+    for call in (lambda: pointer_state(P_FIG, 0),
+                 lambda: alpha_of_t(P_FIG, 0, 1.0)):
+        with pytest.raises(ValueError, match="sigma_z must be \\+1 or -1"):
+            call()
+
+
 def test_alpha_of_t_solves_the_conditional_ode():
     # oracle: integrate d<a>/dt = -if - (i det + kappa/2) <a> from 0
     for sz in (+1, -1):
-        ps = pointer_state(P_FIG, sz)
         tg = np.linspace(0.0, 60.0, 31)
-        lam = 1j * ps.detuning + P_FIG.kappa / 2.0
+        det = P_FIG.delta_omega - P_FIG.g * sz
+        lam = 1j * det + P_FIG.kappa / 2.0
         # linear in the augmented state (<a>, 1)
         gen = np.array([[-lam, -1j * P_FIG.f], [0.0, 0.0]])
         ys = integrate(lambda ts: np.broadcast_to(gen, (len(ts), 2, 2)),
                        np.array([0.0, 1.0 + 0j]), tg, step=0.02)
         ode = np.array([y[0] for y in ys])
-        np.testing.assert_allclose(alpha_of_t(ps, P_FIG.kappa, tg), ode,
+        np.testing.assert_allclose(alpha_of_t(P_FIG, sz, tg), ode,
                                    atol=1e-9)
 
 
 def test_alpha_of_t_endpoints():
-    ps = pointer_state(P_FIG, -1)
-    assert alpha_of_t(ps, P_FIG.kappa, 0.0) == 0.0
-    late = alpha_of_t(ps, P_FIG.kappa, 1000.0)
-    assert late == pytest.approx(ps.steady_value(), rel=1e-12)
+    assert alpha_of_t(P_FIG, -1, 0.0) == 0.0
+    late = alpha_of_t(P_FIG, -1, 1000.0)
+    assert late == pytest.approx(pointer_state(P_FIG, -1), rel=1e-12)
     # a NaN time is rejected like a negative one, alone or in an array
     for t in (-1.0, math.nan, [0.1, math.nan]):
         with pytest.raises(ValueError, match="t must be >= 0"):
-            alpha_of_t(ps, P_FIG.kappa, t)
+            alpha_of_t(P_FIG, -1, t)
 
 
 def test_steady_amplitudes_frozen():
     # alpha_- (detuning delta_omega - g) is the sigma_z = +1 pointer and
     # alpha_+ the sigma_z = -1 one; n_-+ = |alpha_-+|^2 are the photon
     # numbers gamma_m and the analytic CSV read
-    ps_minus, ps_plus = pointer_state(P_FIG, +1), pointer_state(P_FIG, -1)
-    assert ps_minus.steady_value() == pytest.approx(-20j, rel=1e-14)
-    assert ps_plus.steady_value() == pytest.approx(-1.6551724137931036
-                                                   - 0.13793103448275865j,
-                                                   rel=1e-13)
-    assert ps_minus.amplitude ** 2 == pytest.approx(400.0, rel=1e-14)
-    assert ps_plus.amplitude ** 2 == pytest.approx(2.758620689655173, rel=1e-13)
-    for ps, a in zip((ps_plus, ps_minus), _steady_amplitudes(P_FIG)):
-        assert ps.steady_value() == pytest.approx(a, rel=1e-13)
+    a_minus, a_plus = pointer_state(P_FIG, +1), pointer_state(P_FIG, -1)
+    assert a_minus == pytest.approx(-20j, rel=1e-14)
+    assert a_plus == pytest.approx(-1.6551724137931036
+                                   - 0.13793103448275865j, rel=1e-13)
+    assert abs(a_minus) ** 2 == pytest.approx(400.0, rel=1e-14)
+    assert abs(a_plus) ** 2 == pytest.approx(2.758620689655173, rel=1e-13)
+    for alpha, a in zip((a_plus, a_minus), _steady_amplitudes(P_FIG)):
+        assert alpha == pytest.approx(a, rel=1e-13)
 
 
 # ---------------------------------------------------------------- dephasing rate
@@ -163,7 +176,8 @@ def test_signal_amplitude_phase_difference_form():
     # |A| = sqrt(2) f |sin(phi_0 - phi_1)|
     for dw in (0.0, 0.2, -0.45):
         p = SystemParams(f=0.8, kappa=0.15, g=0.3, delta_omega=dw, s_ii=1.0)
-        dphi = pointer_state(p, +1).phase - pointer_state(p, -1).phase
+        dphi = (cmath.phase(pointer_state(p, +1))
+                - cmath.phase(pointer_state(p, -1)))
         assert abs(signal_amplitude(p)) == pytest.approx(
             math.sqrt(2.0) * p.f * abs(math.sin(dphi)), rel=1e-12)
 

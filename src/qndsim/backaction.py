@@ -18,8 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (NumericsError, SystemParams, _check_grid,
-                   _eigenvalue_below, _state_errors, integrate)
+# QubitEigenbasis and eigenbasis live in core; this module re-exports them
+from .core import (NumericsError, QubitEigenbasis, SystemParams, _check_grid,
+                   _eigenvalue_below, _state_errors, eigenbasis, integrate)
 
 __all__ = [
     "QubitEigenbasis",
@@ -30,16 +31,6 @@ __all__ = [
     "rates",
     "evolve_reduced",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class QubitEigenbasis:
-    """Energy eigenbasis of (epsilon/2) sigma_z + (delta/2) sigma_x."""
-
-    eta: float
-    splitting: float
-    up_state: np.ndarray
-    down_state: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -67,17 +58,6 @@ class ReducedRecord:
     populations: np.ndarray   # (n, 2) real, [ground, excited]
     coherence01: np.ndarray   # |rho_01|
     sigma_z: np.ndarray       # excited minus ground population
-
-
-def eigenbasis(epsilon: float, delta: float) -> QubitEigenbasis:
-    """Mixing angle, splitting and eigenvectors; errors at epsilon = delta = 0."""
-    if epsilon == 0.0 and delta == 0.0:
-        raise ValueError("eigenbasis undefined for epsilon = delta = 0")
-    eta = math.atan2(delta, epsilon)
-    e = math.hypot(epsilon, delta)
-    up = np.array([math.cos(eta / 2.0), math.sin(eta / 2.0)], dtype=complex)
-    down = np.array([-math.sin(eta / 2.0), math.cos(eta / 2.0)], dtype=complex)
-    return QubitEigenbasis(eta=eta, splitting=e, up_state=up, down_state=down)
 
 
 def _n_bar(params: SystemParams) -> float:

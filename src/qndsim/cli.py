@@ -20,8 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import analytic, backaction, lindblad
-from .core import (DensityMatrix, FockSpace, NumericsError, SystemParams,
-                   fock_vacuum)
+from .core import DensityMatrix, NumericsError, SystemParams, fock_vacuum, tensor
 
 __all__ = [
     "ConfigError",
@@ -278,9 +277,9 @@ def _time_grid(cfg: RunConfig) -> np.ndarray:
 
 def _start(cfg: RunConfig, qubit: np.ndarray):
     # the generator and rho0 = qubit (x) vacuum of a master-equation run
-    liou = lindblad.build_liouvillian(cfg.system_params(), FockSpace(cfg.fock_dim))
-    return liou, DensityMatrix.from_product(liou.space, qubit,
-                                            fock_vacuum(liou.space))
+    d = cfg.fock_dim
+    liou = lindblad.build_liouvillian(cfg.system_params(), d)
+    return liou, DensityMatrix(tensor(qubit, fock_vacuum(d)))
 
 
 def run_lindblad(cfg: RunConfig):

@@ -1,5 +1,5 @@
-"""Shared state types, operators and the two propagators, integrate
-(RK4) and expm_action (Taylor).
+"""Shared state types, the qubit's energy eigenbasis, operators and the
+two propagators, integrate (RK4) and expm_action (Taylor).
 
 Conventions used across the package: hbar = 1 and every frequency, rate
 and coupling is an angular frequency in 1/ns (figure-caption values quoted
@@ -21,7 +21,8 @@ import numpy as np
 __all__ = [
     "NumericsError",
     "SystemParams",
-    "FockSpace",
+    "QubitEigenbasis",
+    "eigenbasis",
     "DensityMatrix",
     "annihilation",
     "number_operator",
@@ -86,18 +87,25 @@ class SystemParams:
         return -1j * self.f / (self.kappa / 2.0 + 1j * det)
 
 
-@dataclass(frozen=True)
-class FockSpace:
-    """Truncated resonator Hilbert space holding photon numbers 0..dim-1."""
+@dataclass(frozen=True, eq=False)
+class QubitEigenbasis:
+    """Energy eigenbasis of (epsilon/2) sigma_z + (delta/2) sigma_x."""
 
-    dim: int
-    # a class constant, not a field: the top-two-level population above
-    # which a run's truncation is untrusted
-    top_population_threshold = 1e-6
+    eta: float
+    splitting: float
+    up_state: np.ndarray
+    down_state: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not self.dim >= 2:
-            raise ValueError(f"Fock dimension must be >= 2, got {self.dim}")
+
+def eigenbasis(epsilon: float, delta: float) -> QubitEigenbasis:
+    """Mixing angle, splitting and eigenvectors; errors at epsilon = delta = 0."""
+    if epsilon == 0.0 and delta == 0.0:
+        raise ValueError("eigenbasis undefined for epsilon = delta = 0")
+    eta = math.atan2(delta, epsilon)
+    e = math.hypot(epsilon, delta)
+    up = np.array([math.cos(eta / 2.0), math.sin(eta / 2.0)], dtype=complex)
+    down = np.array([-math.sin(eta / 2.0), math.cos(eta / 2.0)], dtype=complex)
+    return QubitEigenbasis(eta=eta, splitting=e, up_state=up, down_state=down)
 
 
 _TRACE_TOL = 1e-9
@@ -107,19 +115,17 @@ _EIG_TOL = 1e-7
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Joint qubit (x) resonator state, 2*dim x 2*dim complex, checked
+    """Joint qubit (x) resonator state, a square complex matrix, checked
     on construction against _TRACE_TOL, _HERM_TOL and _EIG_TOL."""
 
-    space: FockSpace
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         # contiguous, so the real view below is defined for any input
         m = np.ascontiguousarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        n = 2 * self.space.dim
-        if m.shape != (n, n):
-            raise ValueError(f"expected shape {(n, n)}, got {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected shape (n, n), got {m.shape}")
         if not np.all(np.isfinite(m.view(float))):
             raise ValueError("density matrix contains non-finite entries")
         tr_dev, herm = _state_errors(m)
@@ -131,28 +137,21 @@ class DensityMatrix:
         if lo is not None:
             raise ValueError(f"negative eigenvalue {lo:.3e} below -1e-7")
 
-    @classmethod
-    def from_product(cls, space: FockSpace, qubit: np.ndarray,
-                     fock: np.ndarray) -> "DensityMatrix":
-        """Build the product state qubit (x) fock."""
-        return cls(space, tensor(np.asarray(qubit, dtype=complex),
-                                 np.asarray(fock, dtype=complex)))
 
-
-def fock_vacuum(space: FockSpace) -> np.ndarray:
-    """|0><0| in the truncated resonator space."""
-    m = np.zeros((space.dim, space.dim), dtype=complex)
+def fock_vacuum(dim: int) -> np.ndarray:
+    """|0><0| in the resonator space truncated to photon numbers 0..dim-1."""
+    m = np.zeros((dim, dim), dtype=complex)
     m[0, 0] = 1.0
     return m
 
 
-def annihilation(space: FockSpace) -> np.ndarray:
-    """Resonator lowering operator: <m|a|n> = sqrt(n) delta_{m,n-1}."""
-    return np.diag(np.sqrt(np.arange(1, space.dim, dtype=float)), 1).astype(complex)
+def annihilation(dim: int) -> np.ndarray:
+    """Resonator lowering operator on dim levels: <m|a|n> = sqrt(n) delta_{m,n-1}."""
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
 
 
-def number_operator(space: FockSpace) -> np.ndarray:
-    return np.diag(np.arange(space.dim, dtype=float)).astype(complex)
+def number_operator(dim: int) -> np.ndarray:
+    return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
 _QUBIT_OPS = {

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
 # bench/trace_job.py wraps lindblad.integrate
-from .core import (DensityMatrix, FockSpace, NumericsError, SystemParams,  # noqa: F401
-                   annihilation, expm_action, integrate,
+from .core import (DensityMatrix, NumericsError, SystemParams,  # noqa: F401
+                   annihilation, eigenbasis, expm_action, integrate,
                    number_operator, qubit_operator, tensor)
 
 __all__ = [
@@ -35,6 +36,8 @@ __all__ = [
 
 # repeatability_experiment drops (mixture, outcome) pieces lighter than this
 _BRANCH_PRUNE = 1e-12
+# the top-two-level population above which a run's truncation is untrusted
+_TOP_POPULATION_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +67,6 @@ class Liouvillian:
     apply uses a scratch array, so it is not re-entrant.
     """
 
-    space: FockSpace
     hamiltonian: np.ndarray
     dissipators: tuple = field(default_factory=tuple)
     frame: float = 0.0
@@ -113,6 +115,12 @@ class Liouvillian:
         object.__setattr__(self, "_jumps", tuple(jumps))
         object.__setattr__(self, "_scratch", tmp)
         object.__setattr__(self, "_x_stack", tmp.view(float).reshape(len(h), -1, 2 * n))
+
+    @property
+    def space(self) -> SimpleNamespace:
+        # read only by bench/trace_job.py's flop counter, as space.dim; goes
+        # when that counter reads len(hamiltonian)
+        return SimpleNamespace(dim=len(self.hamiltonian) // 2)
 
     def apply(self, rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The generator on Hermitian rho, written into out and returned
@@ -172,31 +180,34 @@ class RepeatabilityStats:
     truncation: str | None
 
 
-def build_liouvillian(params: SystemParams, space: FockSpace) -> Liouvillian:
+def build_liouvillian(params: SystemParams, fock_dim: int) -> Liouvillian:
     """Assemble the generator in the drive frame; delta picks the coupling.
 
     delta == 0: coupling sigma_z, the dispersive QND model.  The qubit term
     (epsilon/2) sigma_z commutes with the rest of H and with every
     dissipator, so it is the frame, not part of H.  delta > 0: qubit term
     (E/2) sigma_z, E = sqrt(epsilon^2 + delta^2), in the energy eigenbasis
-    and coupling sigma_n = cos(eta) sigma_z + sin(eta) sigma_x with
-    eta = atan2(delta, epsilon), which keeps the QND-violating piece.
+    and coupling sigma_n = cos(eta) sigma_z + sin(eta) sigma_x, eta and E
+    from core.eigenbasis, which keeps the QND-violating piece.
     Qubit dissipators act in the same qubit basis.  Each jump operator is
     its one nonzero diagonal: I (x) a at offset +1, sigma_- (x) I at -dim
-    and sigma_z (x) I at 0.
+    and sigma_z (x) I at 0.  fock_dim < 2 raises ValueError.
     """
+    if not fock_dim >= 2:
+        raise ValueError(f"Fock dimension must be >= 2, got {fock_dim}")
     sz = qubit_operator("sigma_z")
     ident = qubit_operator("identity")
     if params.delta == 0.0:
         energy, coupling, frame = 0.0, sz, params.epsilon
     else:
-        eta = math.atan2(params.delta, params.epsilon)
-        energy, frame = math.hypot(params.epsilon, params.delta), 0.0
-        coupling = math.cos(eta) * sz + math.sin(eta) * qubit_operator("sigma_x")
+        basis = eigenbasis(params.epsilon, params.delta)
+        energy, frame = basis.splitting, 0.0
+        coupling = (math.cos(basis.eta) * sz
+                    + math.sin(basis.eta) * qubit_operator("sigma_x"))
 
-    d = space.dim
-    a = annihilation(space)
-    n_op = number_operator(space)
+    d = fock_dim
+    a = annihilation(d)
+    n_op = number_operator(d)
     i_f = np.eye(d, dtype=complex)
     h = (tensor((energy / 2.0) * sz, i_f)
          + tensor(params.delta_omega * ident - params.g * coupling, n_op)
@@ -204,20 +215,19 @@ def build_liouvillian(params: SystemParams, space: FockSpace) -> Liouvillian:
 
     dissipators = []
     if params.kappa > 0.0:
-        dissipators.append((params.kappa, 1, _ladder_diagonal(space)))
+        dissipators.append((params.kappa, 1, _ladder_diagonal(d)))
     if params.gamma1 > 0.0:
         dissipators.append((params.gamma1, -d, np.ones(d, dtype=complex)))
     if params.gamma2 > 0.0:
         dissipators.append((params.gamma2 / 2.0, 0, np.repeat([1.0 + 0j, -1.0], d)))
 
-    return Liouvillian(space=space, hamiltonian=h,
-                      dissipators=tuple(dissipators), frame=frame)
+    return Liouvillian(hamiltonian=h, dissipators=tuple(dissipators), frame=frame)
 
 
-def _ladder_diagonal(space: FockSpace) -> np.ndarray:
+def _ladder_diagonal(dim: int) -> np.ndarray:
     # the +1 diagonal of I (x) a: sqrt(1..dim-1) in each qubit block, 0
     # where the blocks meet
-    root_n = np.diagonal(annihilation(space), 1)
+    root_n = np.diagonal(annihilation(dim), 1)
     return np.concatenate([root_n, [0.0], root_n])
 
 
@@ -236,12 +246,12 @@ def evolve(liou: Liouvillian, rho0: DensityMatrix,
     The observables come from three diagonals of each node: populations,
     the +dim diagonal (sums to tr rho01) and the -1 diagonal (a_mean).
     """
-    if rho0.space.dim != liou.space.dim:
+    m0 = rho0.matrix
+    if m0.shape != liou.hamiltonian.shape:
         raise ValueError("rho0 lives on a different Fock space than the generator")
     t = np.asarray(t_grid, dtype=float)
-    m0 = rho0.matrix
     mats = expm_action(liou.apply, 0.5 * (m0 + m0.conj().T), t, liou.norm_bound)
-    d = liou.space.dim
+    d = len(liou.hamiltonian) // 2
     if liou.frame:
         for m, phase in zip(mats, np.exp(-1j * liou.frame * t)):
             m[:d, d:] *= phase
@@ -250,7 +260,7 @@ def evolve(liou: Liouvillian, rho0: DensityMatrix,
     states = []
     for tk, m in zip(t, mats):
         try:
-            states.append(DensityMatrix(liou.space, m))
+            states.append(DensityMatrix(m))
         except ValueError as exc:
             raise NumericsError(f"state invalid at t = {tk:.6g}: {exc}") from exc
 
@@ -261,7 +271,7 @@ def evolve(liou: Liouvillian, rho0: DensityMatrix,
         t_grid=t, states=states,
         sigma_z=pop[:, :d].sum(axis=1) - pop[:, d:].sum(axis=1),
         sigma_x=2.0 * tr01.real,
-        a_mean=np.array([m.diagonal(-1) for m in mats]) @ _ladder_diagonal(liou.space),
+        a_mean=np.array([m.diagonal(-1) for m in mats]) @ _ladder_diagonal(d),
         n_mean=pop @ np.tile(np.arange(d, dtype=float), 2),
         coherence01=np.abs(tr01), top_fock=top,
         truncation=_truncation(top, "at t = {:g}", t))
@@ -271,7 +281,7 @@ def _truncation(top: np.ndarray, label: str, where: Sequence) -> str | None:
     # None if top stays under the threshold; else the peak, at the first
     # entry within 1e-12 (relative) of it, and the first entry over the
     # threshold, placed by label.format(where[k])
-    thr = FockSpace.top_population_threshold
+    thr = _TOP_POPULATION_THRESHOLD
     peak = top.max()
     if peak <= thr:
         return None
@@ -296,7 +306,7 @@ def repeatability_experiment(liou: Liouvillian, rho0: DensityMatrix,
     if not 2 <= n_meas <= 6:
         raise ValueError(f"n_meas must be in 2..6, got {n_meas}")
 
-    dim = liou.space.dim
+    dim = len(liou.hamiltonian) // 2
     window = np.array([0.0, t_meas])
     # last outcome -> (weight, normalized mixture); outcome +1 <-> qubit index 0
     mixtures = {0: (1.0, rho0)}
@@ -324,7 +334,7 @@ def repeatability_experiment(liou: Liouvillian, rho0: DensityMatrix,
         mixtures = {}
         for k, mat in acc.items():
             w = mat.trace().real
-            mixtures[k] = (w, DensityMatrix(liou.space, mat / w))
+            mixtures[k] = (w, DensityMatrix(mat / w))
 
     if np.any(total <= 0.0):
         raise NumericsError("all branches pruned; no surviving outcome weight")

@@ -14,7 +14,7 @@ from qndsim.core import DensityMatrix, SystemParams, annihilation
 
 def partial_trace(rho: DensityMatrix, keep: str) -> np.ndarray:
     """Trace out one subsystem; keep is 'qubit' or 'resonator'."""
-    dim = rho.space.dim
+    dim = len(rho.matrix) // 2
     blocks = rho.matrix.reshape(2, dim, 2, dim)
     if keep == "qubit":
         return np.einsum("imjm->ij", blocks)
@@ -36,13 +36,13 @@ def conditional_amplitude(state: DensityMatrix, qubit_index: int) -> complex:
     """<a> within one qubit branch: tr(a rho_kk) / tr(rho_kk)."""
     if qubit_index not in (0, 1):
         raise ValueError(f"qubit_index must be 0 or 1, got {qubit_index}")
-    dim = state.space.dim
+    dim = len(state.matrix) // 2
     lo = qubit_index * dim
     block = state.matrix[lo:lo + dim, lo:lo + dim]
     weight = block.trace().real
     if weight <= 1e-14:
         raise ValueError(f"qubit branch {qubit_index} has no population")
-    a = annihilation(state.space)
+    a = annihilation(dim)
     return complex(np.einsum("ij,ji->", a, block) / weight)
 
 

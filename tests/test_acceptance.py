@@ -28,7 +28,6 @@ from qndsim.backaction import eigenbasis, evolve_reduced, rates, spectral_densit
 from qndsim.cli import main, parse_config, run_fig2, run_fig3
 from qndsim.core import (
     DensityMatrix,
-    FockSpace,
     SystemParams,
     fock_vacuum,
     integrate,
@@ -53,23 +52,22 @@ def _report(tag: str, ok: bool, detail: str) -> str:
     return line
 
 
-def _plus_vacuum(space: FockSpace) -> DensityMatrix:
+def _plus_vacuum(dim: int) -> DensityMatrix:
     plus = 0.5 * np.ones((2, 2), dtype=complex)
-    return DensityMatrix(space, tensor(plus, fock_vacuum(space)))
+    return DensityMatrix(tensor(plus, fock_vacuum(dim)))
 
 
-def _sector_vacuum(space: FockSpace, qubit_index: int) -> DensityMatrix:
+def _sector_vacuum(dim: int, qubit_index: int) -> DensityMatrix:
     q = np.zeros((2, 2), dtype=complex)
     q[qubit_index, qubit_index] = 1.0
-    return DensityMatrix(space, tensor(q, fock_vacuum(space)))
+    return DensityMatrix(tensor(q, fock_vacuum(dim)))
 
 
 def test_criterion_1_conditional_amplitudes_track_pointer_states():
     t0 = perf_counter()
     p = SystemParams(gamma1=0.0, gamma2=0.0, **P_BASE)
-    space = FockSpace(N_FOCK)
     tg = np.linspace(0.0, 40.0, 81)
-    rec = evolve(build_liouvillian(p, space), _plus_vacuum(space), tg)
+    rec = evolve(build_liouvillian(p, N_FOCK), _plus_vacuum(N_FOCK), tg)
     worst = 0.0
     for qubit_index, sz in ((0, +1), (1, -1)):
         me = np.array([conditional_amplitude(st, qubit_index)
@@ -87,9 +85,8 @@ def test_criterion_1_conditional_amplitudes_track_pointer_states():
 def _dephasing_record():
     if "c2" not in _SHARED:
         p = SystemParams(gamma2=0.01, **P_BASE)
-        space = FockSpace(N_FOCK)
         tg = np.linspace(0.0, 40.0, 81)
-        rec = evolve(build_liouvillian(p, space), _plus_vacuum(space), tg)
+        rec = evolve(build_liouvillian(p, N_FOCK), _plus_vacuum(N_FOCK), tg)
         _SHARED["c2"] = (p, tg, rec)
     return _SHARED["c2"]
 
@@ -277,12 +274,11 @@ def test_criterion_5_rate_identities_over_random_draws():
 
 def test_criterion_6_measurement_repeatability():
     t0 = perf_counter()
-    space = FockSpace(N_FOCK)
 
     # QND coupling: consecutive outcomes always agree
     p_qnd = SystemParams(**P_BASE)
-    stats = repeatability_experiment(build_liouvillian(p_qnd, space),
-                                     _plus_vacuum(space), t_meas=20.0,
+    stats = repeatability_experiment(build_liouvillian(p_qnd, N_FOCK),
+                                     _plus_vacuum(N_FOCK), t_meas=20.0,
                                      n_meas=3)
     qnd_dev = float(np.max(np.abs(stats.pair_agreement - 1.0)))
 
@@ -293,10 +289,10 @@ def test_criterion_6_measurement_repeatability():
                        delta_omega=basis.splitting, s_ii=20.0)
     rs = rates(p_n, basis)
     flip_rate = rs.gamma_up + rs.gamma_down
-    liou_n = build_liouvillian(p_n, space)
+    liou_n = build_liouvillian(p_n, N_FOCK)
     disagree = []
     for t_meas in (400.0, 800.0):
-        st = repeatability_experiment(liou_n, _sector_vacuum(space, 0),
+        st = repeatability_experiment(liou_n, _sector_vacuum(N_FOCK, 0),
                                       t_meas=t_meas, n_meas=2)
         disagree.append(1.0 - float(st.pair_agreement[0]))
     slope = (disagree[1] - disagree[0]) / 400.0
@@ -313,17 +309,16 @@ def test_criterion_6_measurement_repeatability():
 
 def test_criterion_7_numerical_hygiene(tmp_path):
     t0 = perf_counter()
-    space = FockSpace(N_FOCK)
     runs = []
     p1 = SystemParams(**P_BASE)
-    runs.append(evolve(build_liouvillian(p1, space), _plus_vacuum(space),
+    runs.append(evolve(build_liouvillian(p1, N_FOCK), _plus_vacuum(N_FOCK),
                        np.linspace(0.0, 20.0, 41)))
     p2 = SystemParams(epsilon=1.0, delta=0.1, g=0.02, kappa=0.1, f=0.3,
                       delta_omega=math.hypot(1.0, 0.1), s_ii=20.0)
-    runs.append(evolve(build_liouvillian(p2, space),
-                       _sector_vacuum(space, 0), np.linspace(0.0, 20.0, 41)))
+    runs.append(evolve(build_liouvillian(p2, N_FOCK),
+                       _sector_vacuum(N_FOCK, 0), np.linspace(0.0, 20.0, 41)))
     p3 = SystemParams(gamma1=0.02, gamma2=0.05, **P_BASE)
-    runs.append(evolve(build_liouvillian(p3, space), _plus_vacuum(space),
+    runs.append(evolve(build_liouvillian(p3, N_FOCK), _plus_vacuum(N_FOCK),
                        np.linspace(0.0, 20.0, 41)))
     trace_dev = herm_dev = 0.0
     min_eig = 0.0
@@ -335,8 +330,8 @@ def test_criterion_7_numerical_hygiene(tmp_path):
             min_eig = min(min_eig, float(np.linalg.eigvalsh(m).min()))
 
     # measured RK4 order on the full generator, as a dense superoperator
-    sup = _superoperator(build_liouvillian(p1, space))
-    y0 = _plus_vacuum(space).matrix.reshape(-1)
+    sup = _superoperator(build_liouvillian(p1, N_FOCK))
+    y0 = _plus_vacuum(N_FOCK).matrix.reshape(-1)
     finals = [integrate(lambda ts: np.broadcast_to(sup, (len(ts),) + sup.shape),
                         y0, [0.0, 1.0], h)[-1]
               for h in (0.01, 0.005, 0.0025)]

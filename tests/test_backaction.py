@@ -25,7 +25,6 @@ from qndsim import backaction
 from qndsim.backaction import eigenbasis, evolve_reduced, rates, spectral_density
 from qndsim.backaction import _memory_kernel
 from qndsim.core import (
-    FockSpace,
     NumericsError,
     SystemParams,
     expm_action,
@@ -157,9 +156,9 @@ def test_number_correlator_matches_quantum_regression():
     # the driven cavity rests in the exact coherent steady state
     p = SystemParams(epsilon=0.0, g=0.0, kappa=0.1, f=0.05, delta_omega=0.0,
                      s_ii=20.0)
-    space = FockSpace(12)
+    dim = 12
     alpha = -1j * p.f / (p.kappa / 2.0)   # one steady photon
-    k = np.arange(space.dim)
+    k = np.arange(dim)
     coh = alpha ** k / np.sqrt([math.factorial(int(m)) for m in k])
     coh *= math.exp(-abs(alpha) ** 2 / 2.0)
     rho_res = np.outer(coh, coh.conj())
@@ -168,13 +167,13 @@ def test_number_correlator_matches_quantum_regression():
     qubit0[0, 0] = 1.0
     rho_ss = tensor(qubit0, rho_res)
 
-    liou = build_liouvillian(p, space)
-    n_full = tensor(qubit_operator("identity"), number_operator(space))
+    liou = build_liouvillian(p, dim)
+    n_full = tensor(qubit_operator("identity"), number_operator(dim))
     n_bar = np.einsum("ij,ji->", n_full, rho_ss).real
     assert n_bar == pytest.approx(1.0, abs=1e-8)
 
     taus = np.linspace(0.0, 30.0, 16)   # kappa tau up to 3
-    y0 = (n_full - n_bar * np.eye(2 * space.dim)) @ rho_ss
+    y0 = (n_full - n_bar * np.eye(2 * dim)) @ rho_ss
     # apply takes Hermitian input only: by linearity, propagate the
     # Hermitian parts of y0 = h1 + i h2 separately and recombine
     h1, h2 = 0.5 * (y0 + y0.conj().T), -0.5j * (y0 - y0.conj().T)

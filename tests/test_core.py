@@ -16,7 +16,6 @@ import scipy.linalg
 from qndsim import core
 from qndsim.core import (
     DensityMatrix,
-    FockSpace,
     NumericsError,
     SystemParams,
     annihilation,
@@ -63,18 +62,10 @@ def test_system_params_validation(kw, fragment):
         SystemParams(**kw)
 
 
-def test_fock_space_validation():
-    assert FockSpace(2).dim == 2
-    for bad in (1, float("nan")):
-        with pytest.raises(ValueError, match="must be >= 2"):
-            FockSpace(bad)
-
-
 # ---------------------------------------------------------------- operators
 
 def test_annihilation_matrix_elements():
-    space = FockSpace(5)
-    a = annihilation(space)
+    a = annihilation(5)
     # <m|a|n> = sqrt(n) delta_{m,n-1}
     for n in range(1, 5):
         assert a[n - 1, n] == pytest.approx(math.sqrt(n))
@@ -82,8 +73,7 @@ def test_annihilation_matrix_elements():
 
 
 def test_commutator_truncation_corner():
-    space = FockSpace(6)
-    a = annihilation(space)
+    a = annihilation(6)
     comm = a @ a.conj().T - a.conj().T @ a
     # identity except the top diagonal entry, which carries -(dim-1)
     expected = np.eye(6)
@@ -92,9 +82,9 @@ def test_commutator_truncation_corner():
 
 
 def test_number_operator_diagonal():
-    n = number_operator(FockSpace(4))
+    n = number_operator(4)
     np.testing.assert_array_equal(np.diag(n).real, [0.0, 1.0, 2.0, 3.0])
-    a = annihilation(FockSpace(4))
+    a = annihilation(4)
     np.testing.assert_allclose(a.conj().T @ a, n, atol=1e-14)
 
 
@@ -112,8 +102,7 @@ def test_qubit_operators():
 
 
 def test_tensor_layout_qubit_slowest():
-    space = FockSpace(3)
-    m = tensor(qubit_operator("sigma_z"), number_operator(space))
+    m = tensor(qubit_operator("sigma_z"), number_operator(3))
     # joint index = qubit_index * dim + fock_index
     np.testing.assert_array_equal(np.diag(m).real, [0, 1, 2, 0, -1, -2])
     with pytest.raises(ValueError, match="must be 2x2"):
@@ -123,10 +112,9 @@ def test_tensor_layout_qubit_slowest():
 
 
 def test_partial_trace_recovers_product_factors():
-    space = FockSpace(4)
     qubit = np.array([[0.7, 0.1j], [-0.1j, 0.3]], dtype=complex)
     fock = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    rho = DensityMatrix.from_product(space, qubit, fock)
+    rho = DensityMatrix(tensor(qubit, fock))
     np.testing.assert_allclose(partial_trace(rho, "qubit"), qubit, atol=1e-14)
     np.testing.assert_allclose(partial_trace(rho, "resonator"), fock, atol=1e-14)
     with pytest.raises(ValueError, match="keep must be"):
@@ -134,10 +122,8 @@ def test_partial_trace_recovers_product_factors():
 
 
 def test_expectation_on_product_state():
-    space = FockSpace(4)
-    rho = DensityMatrix.from_product(space, np.diag([1.0, 0.0]),
-                                     np.diag([0.0, 1.0, 0.0, 0.0]))
-    n_full = tensor(qubit_operator("identity"), number_operator(space))
+    rho = DensityMatrix(tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0, 0.0, 0.0])))
+    n_full = tensor(qubit_operator("identity"), number_operator(4))
     assert expectation(rho, n_full) == pytest.approx(1.0)
     sz_full = tensor(qubit_operator("sigma_z"), np.eye(4))
     assert expectation(rho, sz_full) == pytest.approx(1.0)
@@ -148,29 +134,28 @@ def test_expectation_on_product_state():
 # ---------------------------------------------------------------- density matrix
 
 def test_density_matrix_rejects_bad_states():
-    space = FockSpace(2)
     good = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-    DensityMatrix(space, good)
+    DensityMatrix(good)
 
-    with pytest.raises(ValueError, match="expected shape"):
-        DensityMatrix(space, np.eye(3, dtype=complex))
+    for bad in (np.eye(4, 3), np.full(4, 0.25), np.eye(2)[None]):
+        with pytest.raises(ValueError, match="expected shape"):
+            DensityMatrix(bad)
     with pytest.raises(ValueError, match="trace deviates"):
-        DensityMatrix(space, 2.0 * good)
+        DensityMatrix(2.0 * good)
     bad_h = good.copy()
     bad_h[0, 1] = 1e-3
     with pytest.raises(ValueError, match="not Hermitian"):
-        DensityMatrix(space, bad_h)
+        DensityMatrix(bad_h)
     bad_e = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        DensityMatrix(space, bad_e)
+        DensityMatrix(bad_e)
     nf = good.copy()
     nf[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        DensityMatrix(space, nf)
+        DensityMatrix(nf)
 
 
 def test_density_matrix_accepts_non_contiguous_input():
-    space = FockSpace(3)
     rng = np.random.default_rng(11)
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     rho = m @ m.conj().T
@@ -180,11 +165,11 @@ def test_density_matrix_accepts_non_contiguous_input():
     # the transpose of a state is a state too
     for view in (rho.T, wide[:, ::2]):
         assert not view.flags.c_contiguous
-        np.testing.assert_array_equal(DensityMatrix(space, view).matrix,
-                                      DensityMatrix(space, view.copy()).matrix)
+        np.testing.assert_array_equal(DensityMatrix(view).matrix,
+                                      DensityMatrix(view.copy()).matrix)
     wide[0, 0] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
-        DensityMatrix(space, wide[:, ::2])
+        DensityMatrix(wide[:, ::2])
 
 
 def _state_with_min_eigenvalue(n, lo, seed):
@@ -230,20 +215,19 @@ def test_positivity_verdict_matches_eigvalsh(monkeypatch):
 
 
 def test_density_matrix_positivity_against_eigvalsh():
-    space = FockSpace(12)
     for k, lo in enumerate(_eigenvalues_around(-1e-7)):
         m = _state_with_min_eigenvalue(24, lo, seed=k)
         oracle = np.linalg.eigvalsh(m).min()
         if oracle < -1e-7:
             with pytest.raises(ValueError) as info:
-                DensityMatrix(space, m)
+                DensityMatrix(m)
             assert str(info.value) == f"negative eigenvalue {oracle:.3e} below -1e-7"
         else:
-            DensityMatrix(space, m)
+            DensityMatrix(m)
 
 
 def test_fock_vacuum():
-    v = fock_vacuum(FockSpace(3))
+    v = fock_vacuum(3)
     assert v[0, 0] == 1.0
     assert np.trace(v) == 1.0
     assert np.count_nonzero(v) == 1

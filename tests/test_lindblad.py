@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from qndsim.analytic import alpha_of_t, gamma_m, optimal_detuning
 from qndsim.core import (
     DensityMatrix,
-    FockSpace,
     NumericsError,
     SystemParams,
     annihilation,
@@ -53,25 +52,24 @@ P_ME = SystemParams(epsilon=0.0, g=0.3, kappa=0.1, f=0.05,
                     delta_omega=0.3, s_ii=20.0)
 
 
-def plus_vacuum(space):
+def plus_vacuum(dim):
     plus = 0.5 * np.ones((2, 2), dtype=complex)
-    return DensityMatrix(space, tensor(plus, fock_vacuum(space)))
+    return DensityMatrix(tensor(plus, fock_vacuum(dim)))
 
 
 # ---------------------------------------------------------------- generator
 
 def test_sigma_z_hamiltonian_blocks():
     # the splitting (epsilon/2) sigma_z is the frame, not part of H
-    space = FockSpace(6)
+    d = 6
     p = SystemParams(epsilon=2.0, g=0.3, kappa=0.1, f=0.7, delta_omega=0.5,
                      s_ii=1.0)
-    liou = build_liouvillian(p, space)
+    liou = build_liouvillian(p, d)
     assert liou.frame == p.epsilon
     h = liou.hamiltonian
-    n_op = number_operator(space)
-    a = annihilation(space)
+    n_op = number_operator(d)
+    a = annihilation(d)
     drive = p.f * (a + a.conj().T)
-    d = space.dim
     # sigma_z = +1 sector sees detuning delta_omega - g
     np.testing.assert_allclose(h[:d, :d],
                                (p.delta_omega - p.g) * n_op + drive,
@@ -84,17 +82,16 @@ def test_sigma_z_hamiltonian_blocks():
 
 
 def test_sigma_n_hamiltonian_blocks():
-    space = FockSpace(5)
+    d = 5
     p = SystemParams(epsilon=1.0, delta=0.1, g=0.02, kappa=0.1, f=0.3,
                      delta_omega=0.4, s_ii=1.0)
-    h = build_liouvillian(p, space).hamiltonian
+    h = build_liouvillian(p, d).hamiltonian
     eta = math.atan2(p.delta, p.epsilon)
     energy = math.hypot(p.epsilon, p.delta)
-    n_op = number_operator(space)
-    a = annihilation(space)
+    n_op = number_operator(d)
+    a = annihilation(d)
     drive = p.f * (a + a.conj().T)
     eye = np.eye(5)
-    d = space.dim
     np.testing.assert_allclose(h[:d, :d],
                                (energy / 2.0) * eye
                                + (p.delta_omega - p.g * math.cos(eta)) * n_op
@@ -111,32 +108,37 @@ def test_coupling_follows_delta(epsilon):
     # keeps the splitting in H and couples the qubit blocks through
     # -g sin(eta) n, so that block is exactly zero iff delta == 0
     d = 5
-    space = FockSpace(d)
     p = SystemParams(epsilon=epsilon, g=0.3, kappa=0.1, gamma1=0.02,
                      gamma2=0.05, f=0.7, delta_omega=0.5, s_ii=1.0)
     sz = qubit_operator("sigma_z")
     ident = qubit_operator("identity")
-    a = annihilation(space)
-    h = (tensor(p.delta_omega * ident - p.g * sz, number_operator(space))
+    a = annihilation(d)
+    h = (tensor(p.delta_omega * ident - p.g * sz, number_operator(d))
          + tensor(ident, p.f * (a + a.conj().T)))
-    liou = build_liouvillian(p, space)
+    liou = build_liouvillian(p, d)
     np.testing.assert_array_equal(liou.hamiltonian, h)
     assert liou.frame == epsilon
     for delta in (0.0, 1e-300, 0.05, 0.5):
-        liou = build_liouvillian(replace(p, delta=delta), space)
+        liou = build_liouvillian(replace(p, delta=delta), d)
         h = liou.hamiltonian
         assert (not np.any(h[:d, d:])) == (delta == 0.0), delta
         assert liou.frame == (epsilon if delta == 0.0 else 0.0), delta
 
 
+def test_build_liouvillian_rejects_fock_dim_below_two():
+    build_liouvillian(P_ME, 2)
+    for bad in (1, float("nan")):
+        with pytest.raises(ValueError, match="Fock dimension must be >= 2"):
+            build_liouvillian(P_ME, bad)
+
+
 def test_dissipators_only_for_nonzero_rates():
-    space = FockSpace(4)
-    liou = build_liouvillian(P_ME, space)
+    liou = build_liouvillian(P_ME, 4)
     assert len(liou.dissipators) == 1
     assert liou.dissipators[0][0] == P_ME.kappa
     p = SystemParams(epsilon=0.0, g=0.3, kappa=0.1, f=0.05, delta_omega=0.3,
                      gamma1=0.02, gamma2=0.05, s_ii=1.0)
-    liou2 = build_liouvillian(p, space)
+    liou2 = build_liouvillian(p, 4)
     assert [c for c, _, _ in liou2.dissipators] == [0.1, 0.02, 0.025]
 
 
@@ -157,7 +159,7 @@ _PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 def _draw_liouvillian(fock_dim, **phys):
-    return build_liouvillian(SystemParams(s_ii=1.0, **phys), FockSpace(fock_dim))
+    return build_liouvillian(SystemParams(s_ii=1.0, **phys), fock_dim)
 
 
 def _superoperator(liou):
@@ -178,8 +180,8 @@ def _lab_frame(liou):
     # the same generator with its frame back in H: _superoperator of it is
     # _superoperator(liou) plus -i[(frame/2) sigma_z (x) I, .]
     h_q = tensor((liou.frame / 2.0) * qubit_operator("sigma_z"),
-                 np.eye(liou.space.dim))
-    return Liouvillian(space=liou.space, hamiltonian=liou.hamiltonian + h_q,
+                 np.eye(len(liou.hamiltonian) // 2))
+    return Liouvillian(hamiltonian=liou.hamiltonian + h_q,
                        dissipators=liou.dissipators)
 
 
@@ -226,7 +228,7 @@ def test_apply_merges_jump_operators_that_share_an_offset():
     rng = np.random.default_rng(4)
     extra = tuple((0.1 * (k + 1), o, rng.normal(size=(10 - o, 2)) @ [1.0, 1j])
                   for k, o in enumerate((0, 1, 1, 3)))
-    liou = Liouvillian(space=base.space, hamiltonian=base.hamiltonian,
+    liou = Liouvillian(hamiltonian=base.hamiltonian,
                        dissipators=base.dissipators + extra)
     assert len(liou._jumps) == 4    # offsets 1, -5, 0 and 3
     rho = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
@@ -239,26 +241,25 @@ def test_hamiltonian_stack_follows_the_qubit_blocks_not_the_mode():
     # and jumps, takes the whole matrix
     base = _draw_liouvillian(5, epsilon=1.0, delta=0.0, g=0.2, kappa=0.3,
                              gamma1=0.05, gamma2=0.02, f=0.4, delta_omega=0.1)
-    d = base.space.dim
+    d = 5
     coupled = base.hamiltonian.copy()
     coupled[0, d] = coupled[d, 0] = 0.3
     rng = np.random.default_rng(6)
     rho = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
     for h, k in ((base.hamiltonian, 2), (coupled, 1)):
-        liou = Liouvillian(space=base.space, hamiltonian=h,
-                           dissipators=base.dissipators, frame=base.frame)
+        liou = Liouvillian(hamiltonian=h, dissipators=base.dissipators,
+                           frame=base.frame)
         assert len(liou._h_stack) == k
         _assert_apply_matches_commutator_form(liou, rho)
 
 
 def test_liouvillian_rejects_a_complex_hamiltonian():
-    base = build_liouvillian(P_ME, FockSpace(4))
+    base = build_liouvillian(P_ME, 4)
     h = base.hamiltonian.copy()
     h[0, 1] += 1e-3j
     h[1, 0] -= 1e-3j    # still Hermitian
     with pytest.raises(ValueError, match="hamiltonian must be real"):
-        Liouvillian(space=base.space, hamiltonian=h,
-                    dissipators=base.dissipators)
+        Liouvillian(hamiltonian=h, dissipators=base.dissipators)
 
 
 def test_apply_reads_strided_input_like_its_contiguous_copy():
@@ -302,25 +303,23 @@ def test_jump_diagonals_rebuild_the_tensor_operators():
     p = SystemParams(epsilon=0.0, g=0.3, kappa=0.1, f=0.05, delta_omega=0.3,
                      gamma1=0.02, gamma2=0.05, s_ii=1.0)
     for dim in (2, 5):
-        space = FockSpace(dim)
         i_f = np.eye(dim)
-        expected = [tensor(qubit_operator("identity"), annihilation(space)),
+        expected = [tensor(qubit_operator("identity"), annihilation(dim)),
                     tensor(qubit_operator("sigma_minus"), i_f),
                     tensor(qubit_operator("sigma_z"), i_f)]
-        liou = build_liouvillian(p, space)
+        liou = build_liouvillian(p, dim)
         assert len(liou.dissipators) == 3
         for (_, o, v), l_op in zip(liou.dissipators, expected):
             np.testing.assert_array_equal(np.diag(v, o), l_op)
 
 
 def test_liouvillian_rejects_diagonal_that_does_not_fit_its_offset():
-    space = FockSpace(4)
-    base = build_liouvillian(P_ME, space)
-    n = 2 * space.dim
-    for o, v in ((1, np.ones(n)), (-space.dim, np.ones(n)),
+    base = build_liouvillian(P_ME, 4)
+    n = 8
+    for o, v in ((1, np.ones(n)), (-4, np.ones(n)),
                  (0, np.ones(n - 1)), (n, np.ones(0))):
         with pytest.raises(ValueError, match="must have length"):
-            Liouvillian(space=space, hamiltonian=base.hamiltonian,
+            Liouvillian(hamiltonian=base.hamiltonian,
                         dissipators=((0.1, o, v.astype(complex)),))
 
 
@@ -396,8 +395,8 @@ def test_expm_action_accurate_over_a_phase_accumulating_run():
     # evaluated inside 45 Taylor steps
     p = SystemParams(epsilon=10.0, g=0.3, kappa=0.1, f=0.05, delta_omega=0.3,
                      s_ii=1.0)
-    liou = _lab_frame(build_liouvillian(p, FockSpace(6)))
-    rho0 = plus_vacuum(liou.space).matrix
+    liou = _lab_frame(build_liouvillian(p, 6))
+    rho0 = plus_vacuum(6).matrix
     grid = np.arange(81) * 0.5
     got = expm_action(liou.apply, rho0, grid, liou.norm_bound)
     sup = _superoperator(liou)
@@ -413,75 +412,21 @@ def test_expm_action_accurate_over_a_phase_accumulating_run():
     assert np.max(np.abs(ref - direct)) <= 1e-13
 
 
-def _expm_action_eager(apply, y0, t, norm):
-    # core.expm_action with the norm of the partial sum taken at every
-    # term: the reference for the bound that skips it.  Nodes fold their
-    # terms by core's block rule, so the bits match
-    y = np.array(y0, dtype=complex)
-    c = core._block_rows(y)
-    block = np.empty((c,) + y.shape, dtype=complex)
-    rows = block.reshape(c, -1).view(float)
-    out = [y.copy()]
-    t = list(t)
-    m, n_steps = core._taylor_plan(norm * t[-1])
-    h = t[-1] / n_steps
-    k = 1
-    for i in range(n_steps):
-        t_b = t[-1] if i == n_steps - 1 else (i + 1) * h
-        k_end = k
-        while k_end < len(t) and t[k_end] < t_b:
-            k_end += 1
-        r = [(tk - i * h) / h for tk in t[k:k_end]]
-        nodes = [y.copy() for _ in r]
-        w = w_prev = [1.0] * len(r)
-        lo, run = 1, []    # the run's rows from lo: each term's node weights
-        term = y
-        c1 = core._inf_norm(term)
-        for j in range(1, m + 1):
-            term = apply(term, block[lo + len(run)])
-            term *= h / j
-            c2 = core._inf_norm(term)
-            y += term
-            w_prev, w = w, [wk * rk for wk, rk in zip(w, r)]
-            run.append(w)
-            end = c1 + c2 <= core._STOP_TOL * core._inf_norm(y)
-            if end or len(run) == c - 1 or j == m:
-                free = lo - 1 if lo else c - 1
-                for n, z in enumerate(nodes):
-                    if len(run) == 1:
-                        np.multiply(term, w[n], out=block[free])
-                    else:
-                        np.matmul([wr[n] for wr in run],
-                                  rows[lo:lo + len(run)], out=rows[free])
-                    z += block[free]
-                lo, run = int(lo + len(run) == 1), []
-            if end and all(
-                    wp * c1 + wk * c2 <= core._STOP_TOL * core._inf_norm(z)
-                    for z, wp, wk in zip(nodes, w_prev, w)):
-                break
-            c1 = c2
-        out.extend(nodes)
-        if t[k_end] == t_b:
-            out.append(y.copy())
-            k_end += 1
-        k = k_end
-    return out
-
-
 def test_expm_action_matches_the_eager_norm_loop(monkeypatch):
     # the benchmark's d = 12 sigma_n generator with all three dissipators,
     # nodes inside steps and on the last step end: the same bits and the
-    # same Taylor terms per step, with fewer norms
+    # same Taylor terms per step, with fewer norms, as expm_action with an
+    # infinite _STOP_BOUND, which takes the partial sum's norm at every term
     p = SystemParams(epsilon=1.0, delta=0.1, g=0.02, kappa=0.1, f=0.3,
                      delta_omega=0.92, gamma1=0.05, gamma2=0.02, s_ii=20.0)
-    liou = build_liouvillian(p, FockSpace(12))
+    liou = build_liouvillian(p, 12)
     rho0 = _random_state(24, seed=5)
     grid = np.concatenate([np.linspace(0.0, 1.0, 6), [2.5, 7.0]])
     norms = []
     inf_norm = core._inf_norm
     monkeypatch.setattr(core, "_inf_norm", lambda y: norms.append(None) or inf_norm(y))
     runs = []
-    for propagate in (expm_action, _expm_action_eager):
+    for stop_bound in (core._STOP_BOUND, math.inf):
         ids = []
 
         def apply(y, out):
@@ -489,7 +434,9 @@ def test_expm_action_matches_the_eager_norm_loop(monkeypatch):
             return liou.apply(y, out)
 
         norms.clear()
-        ys = propagate(apply, rho0, grid, liou.norm_bound)
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_STOP_BOUND", stop_bound)
+            ys = expm_action(apply, rho0, grid, liou.norm_bound)
         # each step's first apply call reads the partial sum itself
         starts = [k for k, i in enumerate(ids) if i == ids[0]]
         runs.append((ys, np.diff(starts + [len(ids)]), len(norms)))
@@ -592,7 +539,7 @@ def test_expm_action_fold_matches_the_per_term_loop(monkeypatch, node_norm_scale
     # to rounding
     p = SystemParams(epsilon=1.0, delta=0.1, g=0.02, kappa=0.1, f=0.3,
                      delta_omega=0.92, gamma1=0.05, gamma2=0.02, s_ii=20.0)
-    liou = build_liouvillian(p, FockSpace(6))
+    liou = build_liouvillian(p, 6)
     y0 = _random_state(12, seed=5)
     c = core._block_rows(y0)
     assert c == 8
@@ -627,7 +574,7 @@ def test_expm_action_fold_is_the_per_term_loop_with_two_rows(monkeypatch):
     # node is the per-term loop's bits
     p = SystemParams(epsilon=1.0, delta=0.1, g=0.02, kappa=0.1, f=0.3,
                      delta_omega=0.92, gamma1=0.05, gamma2=0.02, s_ii=20.0)
-    liou = build_liouvillian(p, FockSpace(18))
+    liou = build_liouvillian(p, 18)
     y0 = _random_state(36, seed=5)
     assert core._block_rows(y0) == 2
     span = 20.0 / liou.norm_bound
@@ -645,8 +592,8 @@ def test_expm_action_memory_stays_near_three_states():
     # states; an 8-row block reads 9.05)
     p = SystemParams(epsilon=2.0, g=0.03, kappa=0.1, f=1.1, delta_omega=0.0,
                      s_ii=20.0)
-    liou = build_liouvillian(p, FockSpace(48))
-    y0 = plus_vacuum(liou.space).matrix
+    liou = build_liouvillian(p, 48)
+    y0 = plus_vacuum(48).matrix
     span = 30.0 / liou.norm_bound
     grid = np.linspace(0.0, span, 3 * core._taylor_plan(30.0)[1] + 1)
     tracemalloc.start()
@@ -674,11 +621,11 @@ def test_evolve_apply_calls_do_not_depend_on_the_grid(monkeypatch):
     monkeypatch.setattr(Liouvillian, "apply", counted)
     p = SystemParams(epsilon=1.0, delta=0.1, g=0.02, kappa=0.1, f=0.3,
                      delta_omega=0.92, gamma1=0.05, gamma2=0.02, s_ii=20.0)
-    liou = build_liouvillian(p, FockSpace(12))
+    liou = build_liouvillian(p, 12)
     counts = []
     for n in (2, 41, 401):
         calls.clear()
-        rec = evolve(liou, plus_vacuum(liou.space), np.linspace(0.0, 20.0, n))
+        rec = evolve(liou, plus_vacuum(12), np.linspace(0.0, 20.0, n))
         assert len(rec.states) == n
         counts.append(len(calls))
     assert counts[0] == counts[1] == counts[2]
@@ -705,7 +652,7 @@ def test_qubit_flip_mode_approaches_golden_rule_rates():
     for g in (0.04, 0.02, 0.01, 0.005):
         p = SystemParams(epsilon=1.0, delta=0.1, g=g, kappa=0.1, f=0.3,
                          delta_omega=basis.splitting, s_ii=1.0)
-        liou = build_liouvillian(p, FockSpace(8))
+        liou = build_liouvillian(p, 8)
         ev = np.linalg.eigvals(_superoperator(liou))
         ev = ev[np.argsort(np.abs(ev))]
         rs = rates(p, basis)
@@ -725,8 +672,8 @@ def test_driven_cavity_reaches_coherent_steady_state():
     # coherent state -if/(kappa/2 + i delta_omega)
     p = SystemParams(epsilon=0.0, g=0.0, kappa=0.1, f=0.05, delta_omega=0.2,
                      s_ii=1.0)
-    space = FockSpace(12)
-    rec = evolve(build_liouvillian(p, space), plus_vacuum(space),
+    dim = 12
+    rec = evolve(build_liouvillian(p, dim), plus_vacuum(dim),
                  np.array([0.0, 400.0]))
     alpha = -1j * p.f / (p.kappa / 2.0 + 1j * p.delta_omega)
     assert rec.a_mean[-1] == pytest.approx(alpha, rel=1e-6)
@@ -735,8 +682,8 @@ def test_driven_cavity_reaches_coherent_steady_state():
 
 
 def test_evolution_record_observables():
-    space = FockSpace(10)
-    rec = evolve(build_liouvillian(P_ME, space), plus_vacuum(space),
+    dim = 10
+    rec = evolve(build_liouvillian(P_ME, dim), plus_vacuum(dim),
                  np.linspace(0.0, 10.0, 6))
     # sigma_z commutes with the generator at delta = 0
     np.testing.assert_allclose(rec.sigma_z, np.zeros(6), atol=1e-10)
@@ -748,6 +695,17 @@ def test_evolution_record_observables():
     assert max(traces) < 1e-9
 
 
+# derandomize seeds the draws from the test's source text; these pin the
+# draws each test below was written against
+_OBSERVABLE_DRAWS = int(
+    "63316951516001266789419915622817884290104255791915689862712219006460"
+    "66779633772605267017007177087826903226786260876")
+_LAB_FRAME_DRAWS = int(
+    "17903909923976712138998413655079668107081793685058811004410491240816"
+    "799509261772162940885622369610851464786209441601")
+
+
+@seed(_OBSERVABLE_DRAWS)
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), **_GENERATOR_DRAW)
 def test_evolve_observables_match_operator_traces(seed, fock_dim, **phys):
@@ -755,17 +713,16 @@ def test_evolve_observables_match_operator_traces(seed, fock_dim, **phys):
     # with tr(op rho) of the tensor-built operators at every node
     liou = _draw_liouvillian(fock_dim, **phys)
     assert len(liou.dissipators) == 3
-    space = liou.space
     ident = qubit_operator("identity")
     i_f = np.eye(fock_dim)
     top = np.zeros((fock_dim, fock_dim))
     top[-1, -1] = top[-2, -2] = 1.0
     ops = {"sigma_z": tensor(qubit_operator("sigma_z"), i_f),
            "sigma_x": tensor(qubit_operator("sigma_x"), i_f),
-           "a_mean": tensor(ident, annihilation(space)),
-           "n_mean": tensor(ident, number_operator(space)),
+           "a_mean": tensor(ident, annihilation(fock_dim)),
+           "n_mean": tensor(ident, number_operator(fock_dim)),
            "top_fock": tensor(ident, top)}
-    rho0 = DensityMatrix(space, _random_state(2 * fock_dim, seed))
+    rho0 = DensityMatrix(_random_state(2 * fock_dim, seed))
     rec = evolve(liou, rho0, np.linspace(0.0, 1.0, 4))
     for k, st in enumerate(rec.states):
         for name, op in ops.items():
@@ -778,6 +735,7 @@ def test_evolve_observables_match_operator_traces(seed, fock_dim, **phys):
             abs(partial_trace(st, "qubit")[0, 1]), rel=1e-12, abs=1e-14)
 
 
+@seed(_LAB_FRAME_DRAWS)
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), fock_dim=st.integers(4, 8),
        epsilon=st.one_of(st.floats(-10.0, -0.5), st.floats(0.5, 10.0)),
@@ -793,7 +751,7 @@ def test_sigma_z_evolve_matches_the_lab_frame_exponential(seed, fock_dim,
     assert liou.frame == phys["epsilon"]
     rho0 = _random_state(2 * fock_dim, seed)
     grid = np.linspace(0.0, span, 7)
-    rec = evolve(liou, DensityMatrix(liou.space, rho0), grid)
+    rec = evolve(liou, DensityMatrix(rho0), grid)
     sup = _superoperator(_lab_frame(liou))
     for t, st in zip(grid, rec.states):
         ref = scipy.linalg.expm(sup * t) @ rho0.ravel()
@@ -805,35 +763,33 @@ def test_evolve_projects_rho0_onto_its_hermitian_part():
     # DensityMatrix admits anti-Hermitian noise up to 1e-10; evolve drops
     # it, so every node is exactly Hermitian and the run equals that of
     # the Hermitian part
-    space = FockSpace(6)
     liou = build_liouvillian(SystemParams(epsilon=1.0, delta=0.1, g=0.3,
                                           kappa=0.1, gamma1=0.05, gamma2=0.02,
-                                          f=0.05, delta_omega=0.3, s_ii=1.0),
-                             space)
-    herm = plus_vacuum(space).matrix
+                                          f=0.05, delta_omega=0.3, s_ii=1.0), 6)
+    herm = plus_vacuum(6).matrix
     noise = np.random.default_rng(5).normal(size=herm.shape)
     noisy = herm + 1e-12j * (noise + noise.T)   # anti-Hermitian part only
     assert not np.array_equal(noisy, noisy.conj().T)
     grid = np.linspace(0.0, 5.0, 6)
-    rec = evolve(liou, DensityMatrix(space, noisy), grid)
-    ref = evolve(liou, DensityMatrix(space, herm), grid)
+    rec = evolve(liou, DensityMatrix(noisy), grid)
+    ref = evolve(liou, DensityMatrix(herm), grid)
     for st, st_ref in zip(rec.states, ref.states):
         assert np.array_equal(st.matrix, st.matrix.conj().T)
         assert np.array_equal(st.matrix, st_ref.matrix)
 
 
 def test_evolve_rejects_mismatched_space():
-    liou = build_liouvillian(P_ME, FockSpace(8))
+    liou = build_liouvillian(P_ME, 8)
     with pytest.raises(ValueError, match="different Fock space"):
-        evolve(liou, plus_vacuum(FockSpace(6)), [0.0, 1.0])
+        evolve(liou, plus_vacuum(6), [0.0, 1.0])
 
 
 def test_truncation_overflow_flags_invalid():
     # one steady photon against a 4-level space: the top levels fill up
     p = SystemParams(epsilon=0.0, g=0.0, kappa=0.1, f=0.05, delta_omega=0.0,
                      s_ii=1.0)
-    space = FockSpace(4)
-    rec = evolve(build_liouvillian(p, space), plus_vacuum(space),
+    dim = 4
+    rec = evolve(build_liouvillian(p, dim), plus_vacuum(dim),
                  np.array([0.0, 60.0]))
     assert rec.truncation.endswith(" at t = 60, threshold 1e-06, "
                                    "first exceeded at t = 60")
@@ -844,21 +800,21 @@ def test_unstable_step_raises_numerics_error():
     # ~ 13) and overflows near t = 118
     p = SystemParams(epsilon=10.0, g=0.3, kappa=0.1, f=0.05, delta_omega=0.3,
                      s_ii=1.0)
-    space = FockSpace(6)
-    sup = _superoperator(_lab_frame(build_liouvillian(p, space)))
+    dim = 6
+    sup = _superoperator(_lab_frame(build_liouvillian(p, dim)))
     with np.errstate(all="ignore"):
         with pytest.raises(NumericsError, match="non-finite state at t ="):
             integrate(lambda ts: np.broadcast_to(sup, (len(ts),) + sup.shape),
-                      plus_vacuum(space).matrix.reshape(-1),
+                      plus_vacuum(dim).matrix.reshape(-1),
                       np.array([0.0, 200.0]), step=1.0)
 
 
 # ---------------------------------------------------------------- conditional amplitudes
 
 def test_conditional_amplitudes_follow_pointer_trajectories():
-    space = FockSpace(12)
+    dim = 12
     tg = np.linspace(0.0, 10.0, 21)
-    rec = evolve(build_liouvillian(P_ME, space), plus_vacuum(space), tg)
+    rec = evolve(build_liouvillian(P_ME, dim), plus_vacuum(dim), tg)
     for qubit_index, sz in ((0, +1), (1, -1)):
         me = np.array([conditional_amplitude(st, qubit_index)
                        for st in rec.states])
@@ -867,10 +823,9 @@ def test_conditional_amplitudes_follow_pointer_trajectories():
 
 
 def test_conditional_amplitude_validation():
-    space = FockSpace(6)
     ground = np.zeros((2, 2), dtype=complex)
     ground[0, 0] = 1.0
-    rho = DensityMatrix(space, tensor(ground, fock_vacuum(space)))
+    rho = DensityMatrix(tensor(ground, fock_vacuum(6)))
     assert conditional_amplitude(rho, 0) == 0.0
     with pytest.raises(ValueError, match="no population"):
         conditional_amplitude(rho, 1)
@@ -933,9 +888,9 @@ def test_coherence_solution_matches_quadrature(kappa, g, f, delta_omega,
 def test_coherence_solution_matches_master_equation():
     p = SystemParams(epsilon=0.0, g=0.3, kappa=0.1, f=0.05, delta_omega=0.3,
                      gamma2=0.01, s_ii=20.0)
-    space = FockSpace(12)
+    dim = 12
     tg = np.linspace(0.0, 15.0, 16)
-    rec = evolve(build_liouvillian(p, space), plus_vacuum(space), tg)
+    rec = evolve(build_liouvillian(p, dim), plus_vacuum(dim), tg)
     for k in range(1, len(tg)):
         closed = abs(coherence_solution(p, tg[k], 0.5))
         assert closed == pytest.approx(rec.coherence01[k], rel=1e-6)
@@ -953,9 +908,9 @@ def test_coherence_pure_dephasing_limit():
 def test_long_time_coherence_decays_at_gamma_m():
     # after the pointer transient (kappa t >~ a few) the master-equation
     # coherence decays exponentially at the steady dephasing rate
-    space = FockSpace(12)
+    dim = 12
     tg = np.linspace(0.0, 90.0, 31)
-    rec = evolve(build_liouvillian(P_ME, space), plus_vacuum(space), tg)
+    rec = evolve(build_liouvillian(P_ME, dim), plus_vacuum(dim), tg)
     mask = tg >= 60.0
     slope = np.polyfit(tg[mask], np.log(rec.coherence01[mask]), 1)[0]
     assert -slope == pytest.approx(gamma_m(P_ME), rel=5e-2)
@@ -966,12 +921,12 @@ def test_master_equation_dephasing_peaks_at_optimal_detuning():
     # at delta_omega* = sqrt(g^2 - kappa^2/4) (measured 0.0488849 there,
     # against 0.0441548 and 0.0427826 at delta_omega* -+ 0.02), and equals
     # the closed-form slope at each point
-    space = FockSpace(12)
+    dim = 12
     dw_star = optimal_detuning(P_ME)
     slopes = []
     for dw in (dw_star - 0.02, dw_star, dw_star + 0.02):
         p = replace(P_ME, delta_omega=dw)
-        rec = evolve(build_liouvillian(p, space), plus_vacuum(space),
+        rec = evolve(build_liouvillian(p, dim), plus_vacuum(dim),
                      [0.0, 60.0, 100.0])
         assert rec.truncation is None
         slope = -math.log(rec.coherence01[2] / rec.coherence01[1]) / 40.0
@@ -985,9 +940,9 @@ def test_master_equation_dephasing_peaks_at_optimal_detuning():
 # ---------------------------------------------------------------- repeatability
 
 def test_repeated_measurements_agree_in_sigma_z_mode():
-    space = FockSpace(12)
-    liou = build_liouvillian(P_ME, space)
-    stats = repeatability_experiment(liou, plus_vacuum(space),
+    dim = 12
+    liou = build_liouvillian(P_ME, dim)
+    stats = repeatability_experiment(liou, plus_vacuum(dim),
                                      t_meas=20.0, n_meas=3)
     np.testing.assert_allclose(stats.pair_agreement, 1.0, atol=1e-12)
     assert stats.n_branches == 2
@@ -995,20 +950,20 @@ def test_repeated_measurements_agree_in_sigma_z_mode():
 
 
 def test_repeatability_single_branch_from_pure_sector():
-    space = FockSpace(12)
-    liou = build_liouvillian(P_ME, space)
+    dim = 12
+    liou = build_liouvillian(P_ME, dim)
     ground = np.zeros((2, 2), dtype=complex)
     ground[0, 0] = 1.0
-    rho0 = DensityMatrix(space, tensor(ground, fock_vacuum(space)))
+    rho0 = DensityMatrix(tensor(ground, fock_vacuum(dim)))
     stats = repeatability_experiment(liou, rho0, t_meas=10.0, n_meas=2)
     assert stats.n_branches == 1
     assert stats.pair_agreement[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_repeatability_validation():
-    space = FockSpace(6)
-    liou = build_liouvillian(P_ME, space)
-    rho0 = plus_vacuum(space)
+    dim = 6
+    liou = build_liouvillian(P_ME, dim)
+    rho0 = plus_vacuum(dim)
     for bad in (0.0, math.nan):
         with pytest.raises(ValueError, match="t_meas must be > 0"):
             repeatability_experiment(liou, rho0, t_meas=bad, n_meas=2)
@@ -1052,21 +1007,20 @@ def test_truncation_formats_only_the_entries_it_names():
 
 
 def test_repeatability_reports_peak_top_fock_and_round():
-    space = FockSpace(12)
-    stats = repeatability_experiment(build_liouvillian(P_ME, space),
-                                     plus_vacuum(space), t_meas=20.0, n_meas=3)
+    dim = 12
+    stats = repeatability_experiment(build_liouvillian(P_ME, dim),
+                                     plus_vacuum(dim), t_meas=20.0, n_meas=3)
     assert stats.truncation is None
     assert stats.top_fock.shape == (3,)
-    assert 0.0 < stats.top_fock.max() <= space.top_population_threshold
+    assert 0.0 < stats.top_fock.max() <= lindblad._TOP_POPULATION_THRESHOLD
     # the resonator is never reset, so a small space overflows in a later
     # round than the first, by more than the first round's own peak
-    small = FockSpace(4)
-    liou = build_liouvillian(P_ME, small)
-    first = evolve(liou, plus_vacuum(small), [0.0, 20.0]).top_fock.max()
-    stats = repeatability_experiment(liou, plus_vacuum(small), t_meas=20.0, n_meas=3)
-    assert stats.top_fock.max() > max(first, small.top_population_threshold)
+    liou = build_liouvillian(P_ME, 4)
+    first = evolve(liou, plus_vacuum(4), [0.0, 20.0]).top_fock.max()
+    stats = repeatability_experiment(liou, plus_vacuum(4), t_meas=20.0, n_meas=3)
+    assert stats.top_fock.max() > max(first, lindblad._TOP_POPULATION_THRESHOLD)
     assert np.argmax(stats.top_fock) > 0
-    assert stats.top_fock[0] > small.top_population_threshold
+    assert stats.top_fock[0] > lindblad._TOP_POPULATION_THRESHOLD
     assert stats.truncation == (
         f"peak top-two-level population {stats.top_fock.max():.2e} in measurement "
         f"round {np.argmax(stats.top_fock) + 1}, threshold 1e-06, "
@@ -1079,9 +1033,9 @@ P_FLIP = SystemParams(epsilon=1.0, delta=0.1, g=0.02, kappa=0.1, gamma1=0.01,
                       f=0.3, delta_omega=math.sqrt(1.01), s_ii=20.0)
 
 
-def _ground_vacuum(space):
-    return DensityMatrix(space, tensor(np.diag([1.0, 0.0]).astype(complex),
-                                       fock_vacuum(space)))
+def _ground_vacuum(dim):
+    return DensityMatrix(tensor(np.diag([1.0, 0.0]).astype(complex),
+                                fock_vacuum(dim)))
 
 
 def _outcome_tree(liou, rho0, t_meas, n_meas):
@@ -1090,7 +1044,7 @@ def _outcome_tree(liou, rho0, t_meas, n_meas):
     Returns the pair agreements and, per round, one (weight, last outcome,
     top_fock at each window node) triple per branch.
     """
-    dim = liou.space.dim
+    dim = len(liou.hamiltonian) // 2
     branches = [(1.0, rho0, 0)]
     agree = np.zeros(n_meas - 1)
     total = np.zeros(n_meas - 1)
@@ -1109,7 +1063,7 @@ def _outcome_tree(liou, rho0, t_meas, n_meas):
                     agree[r - 1] += weight * w_k * (k == last)
                 mat = np.zeros_like(m)
                 mat[sl, sl] = m[sl, sl] / w_k
-                grown.append((weight * w_k, DensityMatrix(liou.space, mat), k))
+                grown.append((weight * w_k, DensityMatrix(mat), k))
         branches = grown
         rounds.append(tops)
     return agree / total, rounds
@@ -1117,9 +1071,9 @@ def _outcome_tree(liou, rho0, t_meas, n_meas):
 
 @pytest.mark.parametrize("n_meas", [3, 4])
 def test_merged_mixtures_match_the_unpruned_outcome_tree(n_meas):
-    space = FockSpace(8)
-    liou = build_liouvillian(P_FLIP, space)
-    rho0 = _ground_vacuum(space)
+    dim = 8
+    liou = build_liouvillian(P_FLIP, dim)
+    rho0 = _ground_vacuum(dim)
     stats = repeatability_experiment(liou, rho0, t_meas=40.0, n_meas=n_meas)
     agreement, rounds = _outcome_tree(liou, rho0, 40.0, n_meas)
     assert len(rounds[-1]) == 2 ** (n_meas - 1)
@@ -1144,9 +1098,9 @@ def test_repeatability_evolves_each_last_outcome_once_per_round(monkeypatch):
         return evolve(*args)
 
     monkeypatch.setattr(lindblad, "evolve", counted)
-    space = FockSpace(12)
-    liou = build_liouvillian(P_FLIP, space)
-    stats = repeatability_experiment(liou, _ground_vacuum(space), t_meas=40.0,
+    dim = 12
+    liou = build_liouvillian(P_FLIP, dim)
+    stats = repeatability_experiment(liou, _ground_vacuum(dim), t_meas=40.0,
                                      n_meas=6)
     assert len(calls) == 1 + 2 * (6 - 1)
     assert stats.n_branches == 2
@@ -1155,12 +1109,12 @@ def test_repeatability_evolves_each_last_outcome_once_per_round(monkeypatch):
 
 # two calls of each builder give equal but separately built instances
 _ARRAY_DATACLASSES = {
-    "DensityMatrix": lambda: _ground_vacuum(FockSpace(3)),
-    "Liouvillian": lambda: build_liouvillian(P_FLIP, FockSpace(3)),
-    "EvolutionRecord": lambda: evolve(build_liouvillian(P_ME, FockSpace(3)),
-                                      _ground_vacuum(FockSpace(3)), [0.0, 1.0]),
+    "DensityMatrix": lambda: _ground_vacuum(3),
+    "Liouvillian": lambda: build_liouvillian(P_FLIP, 3),
+    "EvolutionRecord": lambda: evolve(build_liouvillian(P_ME, 3),
+                                      _ground_vacuum(3), [0.0, 1.0]),
     "RepeatabilityStats": lambda: repeatability_experiment(
-        build_liouvillian(P_ME, FockSpace(3)), _ground_vacuum(FockSpace(3)),
+        build_liouvillian(P_ME, 3), _ground_vacuum(3),
         t_meas=1.0, n_meas=3),
     "QubitEigenbasis": lambda: eigenbasis(1.0, 0.1),
     "ReducedRecord": lambda: evolve_reduced(

@@ -8,7 +8,7 @@ deterministic CSV command line (cli).
 
 from .core import (DensityMatrix, NumericsError, QubitEigenbasis, SystemParams,
                    annihilation, eigenbasis, expm_action, integrate,
-                   number_operator, qubit_operator, tensor)
+                   number_operator, tensor)
 from .analytic import (alpha_of_t, gamma_m, outcome_probability,
                        pointer_state, signal_amplitude)
 from .lindblad import (EvolutionRecord, Liouvillian, RepeatabilityStats,

@@ -107,6 +107,8 @@ def outcome_probability(params: SystemParams, sz0: float, t,
     times = t.ravel().tolist()
     if any(not tk >= 0.0 for tk in times):
         raise ValueError("t must be >= 0")
+    if not (variance is None or variance > 0.0):
+        raise ValueError(f"variance must be > 0, got {variance}")
     amp = float(abs(signal_amplitude(params)))
     sign = outcome * sz0
     probs = []
@@ -127,7 +129,7 @@ def gamma_m(params: SystemParams) -> float:
     n_+ and n_- are the steady photon numbers at detunings dw + g
     (sigma_z = -1) and dw - g (sigma_z = +1).
     """
-    n_plus = abs(pointer_state(params, -1)) ** 2
-    n_minus = abs(pointer_state(params, +1)) ** 2
+    n_plus = params.photon_number(_detuning(params, -1))
+    n_minus = params.photon_number(_detuning(params, +1))
     return ((n_plus + n_minus) * params.kappa * params.g ** 2
             / (params.kappa ** 2 / 4.0 + params.g ** 2 + params.delta_omega ** 2))

@@ -60,16 +60,12 @@ class ReducedRecord:
     sigma_z: np.ndarray       # excited minus ground population
 
 
-def _n_bar(params: SystemParams) -> float:
-    # steady occupation of the bare driven cavity at the operating point
-    return abs(params.steady_amplitude(params.delta_omega)) ** 2
-
-
 def spectral_density(params: SystemParams, omega: float) -> float:
     """Lorentzian photon-number noise spectrum, peaked at omega = -delta_omega:
     n_bar kappa / ((omega + delta_omega)^2 + kappa^2/4), the full-axis
-    transform of the number correlator n_bar e^(i dw tau - kappa|tau|/2)."""
-    return float(_n_bar(params) * params.kappa
+    transform of the number correlator n_bar e^(i dw tau - kappa|tau|/2),
+    n_bar the bare driven cavity's steady occupation at the operating point."""
+    return float(params.photon_number(params.delta_omega) * params.kappa
                  / ((np.asarray(omega, dtype=float) + params.delta_omega) ** 2
                     + params.kappa ** 2 / 4.0))
 
@@ -101,16 +97,6 @@ def rates(params: SystemParams, basis: QubitEigenbasis) -> RateSet:
                    t_eff=t_eff)
 
 
-def _sigma_n_matrix(basis: QubitEigenbasis) -> np.ndarray:
-    # flux operator sigma_z re-expressed in the (down, up) energy basis
-    v = np.column_stack([basis.down_state, basis.up_state])
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    return v.conj().T @ sz @ v
-
-
-_ENERGY_SIGN = np.array([-0.5, 0.5])  # eigenenergies in units of the splitting
-
-
 def _assemble(sig_t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # M(t, tau) / g^2 with x = c(tau) sigma(t - tau), y = c*(tau) sigma(t - tau);
     # linear in x and y, so K(t) / g^2 is this applied to their tau-integrals.
@@ -124,10 +110,12 @@ def _assemble(sig_t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _interaction_sigma(basis: QubitEigenbasis, t):
     # sigma_n(t) in the interaction picture and the gaps E_k - E_l it rotates
-    # at; t is a scalar or an array of shape (..., 1, 1)
-    energies = _ENERGY_SIGN * basis.splitting
-    de = energies[:, None] - energies[None, :]
-    return np.exp(1j * de * t) * _sigma_n_matrix(basis), de
+    # at; t is a scalar or an array of shape (..., 1, 1).  sigma_n is the
+    # flux operator sigma_z written in the (down, up) energy basis
+    c, s, e = math.cos(basis.eta), math.sin(basis.eta), basis.splitting
+    sigma_n = np.array([[-c, -s], [-s, c]], dtype=complex)
+    de = np.array([[0.0, -e], [e, 0.0]])
+    return np.exp(1j * de * t) * sigma_n, de
 
 
 def _memory_kernel(params: SystemParams, basis: QubitEigenbasis,
@@ -146,7 +134,7 @@ def _memory_kernel(params: SystemParams, basis: QubitEigenbasis,
     half_kappa = params.kappa / 2.0
     lam = 1j * (params.delta_omega - de) - half_kappa
     lam_bar = -1j * (params.delta_omega + de) - half_kappa
-    scaled = _n_bar(params) * sig_t
+    scaled = params.photon_number(params.delta_omega) * sig_t
     return params.g ** 2 * _assemble(sig_t, scaled * np.expm1(lam * t) / lam,
                                      scaled * np.expm1(lam_bar * t) / lam_bar)
 
@@ -199,9 +187,8 @@ def evolve_reduced(params: SystemParams, basis: QubitEigenbasis,
         mats[:, 0, 1] = rho0[0, 1] * decay
         mats[:, 1, 0] = rho0[1, 0] * decay
     elif mode == "time_dependent":
-        rate_scale = max(basis.splitting, params.kappa,
-                         abs(params.delta_omega), 1e-300)
-        step = 1.0 / (50.0 * rate_scale)
+        step = 1.0 / (50.0 * max(basis.splitting, params.kappa,
+                                 abs(params.delta_omega)))
         mats = integrate(
             lambda ts: -_memory_kernel(params, basis, ts).reshape(-1, 4, 4),
             rho0.reshape(4), t, step)

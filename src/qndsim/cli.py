@@ -183,9 +183,11 @@ def emit_csv(result: SweepResult, path: Optional[str] = None) -> str:
 
     Returns the text; writes it to path when given.
     """
-    lines = [",".join(result.columns)]
-    lines.extend(",".join(map(repr, map(float, row))) for row in result.rows)
-    text = "\n".join(lines) + "\n"
+    # the final "" ends the text with a newline without a second copy of
+    # it, and the line list is freed before the write encodes the text
+    text = "\n".join([",".join(result.columns),
+                      *(",".join(map(repr, map(float, row)))
+                        for row in result.rows), ""])
     if path is not None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -199,6 +201,8 @@ def run_fig2(cfg: RunConfig, n_detuning: int = 201, n_time: int = 200) -> SweepR
     integrated detector noise S_II * t.  Initial polarization +1, outcome +1.
     Each detuning evaluates its whole time row in one call per model.
     """
+    if not math.isfinite(n_time * cfg.t_max):
+        raise ValueError(f"t_max = {cfg.t_max:g} overflows the fig2 time grid")
     times = (np.arange(1, n_time + 1) * cfg.t_max / n_time).tolist()
     rows = []
     for dw in np.linspace(-1.0, 1.0, n_detuning).tolist():
@@ -240,8 +244,8 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
             return (float(v),
                     analytic.outcome_probability(p, 1.0, MEASURE_TIME, +1),
                     analytic.gamma_m(p),
-                    abs(analytic.pointer_state(p, -1)) ** 2,
-                    abs(analytic.pointer_state(p, +1)) ** 2)
+                    p.photon_number(p.delta_omega + p.g),
+                    p.photon_number(p.delta_omega - p.g))
 
         columns = (cfg.sweep_param, "p_measure_0", "gamma_m", "n_plus", "n_minus")
     elif cfg.mode == "backaction":

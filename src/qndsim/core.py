@@ -26,7 +26,6 @@ __all__ = [
     "DensityMatrix",
     "annihilation",
     "number_operator",
-    "qubit_operator",
     "tensor",
     "integrate",
     "expm_action",
@@ -86,26 +85,31 @@ class SystemParams:
         """Steady resonator amplitude -if/(kappa/2 + i det) at detuning det."""
         return -1j * self.f / (self.kappa / 2.0 + 1j * det)
 
+    def photon_number(self, det: float) -> float:
+        """|steady_amplitude(det)|^2; ValueError where that overflows a
+        float, which it does exactly when the amplitude reaches 2^512."""
+        r = abs(self.steady_amplitude(det))
+        if not r < 2.0 ** 512:
+            raise ValueError(f"steady photon number overflows a float at "
+                             f"f = {self.f:g}")
+        return r ** 2
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True)
 class QubitEigenbasis:
-    """Energy eigenbasis of (epsilon/2) sigma_z + (delta/2) sigma_x."""
+    """Energy eigenbasis of (epsilon/2) sigma_z + (delta/2) sigma_x: the
+    mixing angle eta = atan2(delta, epsilon) and the splitting E."""
 
     eta: float
     splitting: float
-    up_state: np.ndarray
-    down_state: np.ndarray
 
 
 def eigenbasis(epsilon: float, delta: float) -> QubitEigenbasis:
-    """Mixing angle, splitting and eigenvectors; errors at epsilon = delta = 0."""
+    """Mixing angle and splitting; errors at epsilon = delta = 0."""
     if epsilon == 0.0 and delta == 0.0:
         raise ValueError("eigenbasis undefined for epsilon = delta = 0")
-    eta = math.atan2(delta, epsilon)
-    e = math.hypot(epsilon, delta)
-    up = np.array([math.cos(eta / 2.0), math.sin(eta / 2.0)], dtype=complex)
-    down = np.array([-math.sin(eta / 2.0), math.cos(eta / 2.0)], dtype=complex)
-    return QubitEigenbasis(eta=eta, splitting=e, up_state=up, down_state=down)
+    return QubitEigenbasis(eta=math.atan2(delta, epsilon),
+                           splitting=math.hypot(epsilon, delta))
 
 
 _TRACE_TOL = 1e-9
@@ -152,24 +156,6 @@ def annihilation(dim: int) -> np.ndarray:
 
 def number_operator(dim: int) -> np.ndarray:
     return np.diag(np.arange(dim, dtype=float)).astype(complex)
-
-
-_QUBIT_OPS = {
-    "sigma_z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-    "sigma_x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    # Lowers the sigma_z eigenvalue: |0> -> |1>.
-    "sigma_minus": np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),
-    "identity": np.eye(2, dtype=complex),
-}
-
-
-def qubit_operator(which: str) -> np.ndarray:
-    try:
-        return _QUBIT_OPS[which].copy()
-    except KeyError:
-        raise ValueError(
-            f"unknown qubit operator {which!r}; expected one of "
-            f"{sorted(_QUBIT_OPS)}") from None
 
 
 def tensor(qubit_part: np.ndarray, fock_part: np.ndarray) -> np.ndarray:

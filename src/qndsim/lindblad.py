@@ -23,7 +23,7 @@ import numpy as np
 # bench/trace_job.py wraps lindblad.integrate
 from .core import (DensityMatrix, NumericsError, SystemParams,  # noqa: F401
                    annihilation, eigenbasis, expm_action, integrate,
-                   number_operator, qubit_operator, tensor)
+                   number_operator, tensor)
 
 __all__ = [
     "Liouvillian",
@@ -195,15 +195,15 @@ def build_liouvillian(params: SystemParams, fock_dim: int) -> Liouvillian:
     """
     if not fock_dim >= 2:
         raise ValueError(f"Fock dimension must be >= 2, got {fock_dim}")
-    sz = qubit_operator("sigma_z")
-    ident = qubit_operator("identity")
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    ident = np.eye(2, dtype=complex)
     if params.delta == 0.0:
         energy, coupling, frame = 0.0, sz, params.epsilon
     else:
         basis = eigenbasis(params.epsilon, params.delta)
         energy, frame = basis.splitting, 0.0
-        coupling = (math.cos(basis.eta) * sz
-                    + math.sin(basis.eta) * qubit_operator("sigma_x"))
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        coupling = math.cos(basis.eta) * sz + math.sin(basis.eta) * sx
 
     d = fock_dim
     a = annihilation(d)

@@ -1,5 +1,6 @@
 """Closed-form references that more than one test file compares qndsim
-against.  None of them is used by the package itself.
+against, and the named 2x2 qubit operators the tests build operators
+from.  None of them is used by the package itself.
 
 Conventions are the package's: the qubit index is the slowest axis of the
 joint state, qubit index 0 is the sigma_z = +1 state, and the +/- labels of
@@ -10,6 +11,24 @@ delta_omega + g (sigma_z = -1) and alpha_- at delta_omega - g.
 import numpy as np
 
 from qndsim.core import DensityMatrix, SystemParams, annihilation
+
+_QUBIT_OPS = {
+    "sigma_z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    "sigma_x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    # Lowers the sigma_z eigenvalue: |0> -> |1>.
+    "sigma_minus": np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),
+    "identity": np.eye(2, dtype=complex),
+}
+
+
+def qubit_operator(which: str) -> np.ndarray:
+    """A fresh copy of one named 2x2 qubit operator."""
+    try:
+        return _QUBIT_OPS[which].copy()
+    except KeyError:
+        raise ValueError(
+            f"unknown qubit operator {which!r}; expected one of "
+            f"{sorted(_QUBIT_OPS)}") from None
 
 
 def partial_trace(rho: DensityMatrix, keep: str) -> np.ndarray:

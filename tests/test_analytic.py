@@ -300,9 +300,11 @@ def test_outcome_probability_validation():
     for t in (-1.0, math.nan):
         with pytest.raises(ValueError, match="t must be >= 0"):
             outcome_probability(P_FIG, 1.0, t, +1)
-    for variance in (0.0, math.nan):
-        with pytest.raises(ValueError, match="variance must be > 0"):
-            outcome_probability(P_FIG, 1.0, 1.0, +1, variance=variance)
+    # a given variance is checked once, also where t = 0 never reads it
+    for variance in (-1.0, 0.0, math.nan):
+        for t in (1.0, 0.0, [0.0, 0.0]):
+            with pytest.raises(ValueError, match="variance must be > 0"):
+                outcome_probability(P_FIG, 1.0, t, +1, variance=variance)
 
 
 def _scalar_outcome_probability(params, sz0, t, outcome, variance=None):
@@ -382,9 +384,9 @@ def test_outcome_probability_array_validation():
         outcome_probability(P_FIG, 1.0, live, 0)
     with pytest.raises(ValueError, match="sz0"):
         outcome_probability(P_FIG, -1.5, live, +1)
-    # as for a scalar t = 0, the variance is not consulted where t = 0
-    assert outcome_probability(P_FIG, 1.0, np.zeros(2), +1,
-                               variance=0.0).tolist() == [0.5, 0.5]
+    # a given variance is checked even where every entry has t = 0
+    with pytest.raises(ValueError, match="variance must be > 0"):
+        outcome_probability(P_FIG, 1.0, np.zeros(2), +1, variance=0.0)
 
 
 # ---------------------------------------------------------------- weak coupling

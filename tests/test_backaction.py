@@ -29,10 +29,11 @@ from qndsim.core import (
     SystemParams,
     expm_action,
     number_operator,
-    qubit_operator,
     tensor,
 )
 from qndsim.lindblad import build_liouvillian
+
+from closed_forms import qubit_operator
 
 # symmetric-spectrum pinned point: equal up/down rates, infinite t_eff
 P_SYM = SystemParams(epsilon=1.0, delta=0.1, g=0.05, kappa=0.1, f=0.3,
@@ -54,13 +55,21 @@ def number_correlator(p: SystemParams, tau):
     return complex(out) if out.ndim == 0 else out
 
 
+def eigenvectors(eta: float) -> np.ndarray:
+    """Columns |down> = (-sin(eta/2), cos(eta/2)) and |up> = (cos(eta/2),
+    sin(eta/2)): the energy eigenvectors of the qubit in the flux basis,
+    from the half-angle form rather than backaction's closed-form sigma_n."""
+    c, s = math.cos(eta / 2.0), math.sin(eta / 2.0)
+    return np.array([[-s, c], [c, s]], dtype=complex)
+
+
 def _interaction_sigma_n(p: SystemParams, basis, t: float) -> np.ndarray:
     # the flux operator sigma_z in the interaction picture of the qubit
     # Hamiltonian H = (epsilon/2) sigma_z + (delta/2) sigma_x, in the
     # (down, up) basis: V+ e^(iHt) sigma_z e^(-iHt) V
     h = 0.5 * np.array([[p.epsilon, p.delta], [p.delta, -p.epsilon]])
     u = scipy.linalg.expm(1j * t * h)
-    v = np.column_stack([basis.down_state, basis.up_state])
+    v = eigenvectors(basis.eta)
     return v.conj().T @ u @ np.diag([1.0, -1.0]) @ u.conj().T @ v
 
 
@@ -101,16 +110,30 @@ def test_eigenbasis_angles_and_limits():
         eigenbasis(0.0, 0.0)
 
 
+def test_eigenbasis_compares_by_value():
+    a, b = eigenbasis(1.0, 0.1), eigenbasis(1.0, 0.1)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != eigenbasis(1.0, 0.2)
+    assert len({a, b}) == 1
+
+
 def test_eigenbasis_diagonalizes_the_qubit():
-    for eps, dlt in ((1.0, 0.1), (0.3, 0.9), (2.0, 0.0)):
+    # epsilon < 0 puts eta past pi/2, where cos(eta) changes sign
+    for eps, dlt in ((1.0, 0.1), (0.3, 0.9), (2.0, 0.0), (-1.0, 0.1),
+                     (-0.3, 0.9), (-2.0, 0.0)):
         b = eigenbasis(eps, dlt)
-        assert abs(np.vdot(b.up_state, b.up_state) - 1.0) < 1e-14
-        assert abs(np.vdot(b.up_state, b.down_state)) < 1e-14
-        sn = (math.sin(b.eta) * qubit_operator("sigma_x")
-              + math.cos(b.eta) * qubit_operator("sigma_z"))
-        v = np.column_stack([b.down_state, b.up_state])
-        np.testing.assert_allclose(v.conj().T @ sn @ v, np.diag([-1.0, 1.0]),
+        v = eigenvectors(b.eta)
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(2), atol=1e-14)
+        h = 0.5 * (eps * qubit_operator("sigma_z")
+                   + dlt * qubit_operator("sigma_x"))
+        np.testing.assert_allclose(v.conj().T @ h @ v,
+                                   np.diag([-0.5, 0.5]) * b.splitting,
                                    atol=1e-14)
+        # backaction's closed-form sigma_n is the flux sigma_z in this basis
+        np.testing.assert_allclose(backaction._interaction_sigma(b, 0.0)[0],
+                                   v.conj().T @ qubit_operator("sigma_z") @ v,
+                                   rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------- noise model

@@ -380,6 +380,28 @@ def test_repeat_whose_span_overflows_exits_2():
     assert "span 1e+300 is too long to propagate" in err.getvalue()
 
 
+@pytest.mark.parametrize("argv, fragment", [
+    (["fig3", "--set", "f=1e300"],
+     "error: steady photon number overflows a float at f = 1e+300"),
+    (["backaction", "--set", "f=1e300", "--set", "delta=0.1",
+      "--set", "sweep_param=g", "--set", "sweep_start=0.01",
+      "--set", "sweep_stop=0.05", "--set", "sweep_count=3"],
+     "error: sweep left the valid parameter domain: steady photon number "
+     "overflows a float at f = 1e+300"),
+    (["fig2", "--set", "t_max=1e308"],
+     "error: t_max = 1e+308 overflows the fig2 time grid"),
+], ids=["fig3_f", "backaction_f", "fig2_t_max"])
+def test_extreme_finite_inputs_exit_2(argv, fragment):
+    # a result that overflows a float is a named input error: not an
+    # OverflowError traceback (|alpha|^2 at f = 1e300), nor rows with
+    # t = inf and nan probabilities under exit 0 (fig2's time grid)
+    err, out = io.StringIO(), io.StringIO()
+    with redirect_stderr(err), redirect_stdout(out):
+        assert main(argv) == 2
+    assert err.getvalue() == fragment + "\n"
+    assert out.getvalue() == ""
+
+
 def test_repeat_whose_span_needs_too_many_steps_exits_2(monkeypatch):
     # a finite plan of ~1e11 Taylor steps would run for days: refused
     # with exit 2 before the first step, not left running; an apply call

@@ -23,11 +23,10 @@ from qndsim.core import (
     fock_vacuum,
     integrate,
     number_operator,
-    qubit_operator,
     tensor,
 )
 
-from closed_forms import expectation, partial_trace
+from closed_forms import expectation, partial_trace, qubit_operator
 
 
 # ---------------------------------------------------------------- parameters
@@ -60,6 +59,15 @@ def test_system_params_defaults():
 def test_system_params_validation(kw, fragment):
     with pytest.raises(ValueError, match=fragment):
         SystemParams(**kw)
+
+
+def test_photon_number_overflows_exactly_from_amplitude_2_to_512():
+    # at kappa = 2 and zero detuning the steady amplitude is -i f exactly
+    below = math.nextafter(2.0 ** 512, 0.0)
+    assert SystemParams(kappa=2.0, f=below).photon_number(0.0) == below ** 2
+    assert below ** 2 < math.inf
+    with pytest.raises(ValueError, match=r"overflows a float at f = 1\.34"):
+        SystemParams(kappa=2.0, f=2.0 ** 512).photon_number(0.0)
 
 
 # ---------------------------------------------------------------- operators

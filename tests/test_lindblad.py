@@ -30,7 +30,6 @@ from qndsim.core import (
     fock_vacuum,
     integrate,
     number_operator,
-    qubit_operator,
     tensor,
 )
 from qndsim import core, lindblad
@@ -44,7 +43,7 @@ from qndsim.lindblad import (
 )
 
 from closed_forms import (coherence_solution, conditional_amplitude, expectation,
-                          partial_trace)
+                          partial_trace, qubit_operator)
 
 # the weak-drive operating point exercised throughout: conditioned
 # detunings 0 and 0.6, about one steady photon in the shifted sector
@@ -1116,7 +1115,6 @@ _ARRAY_DATACLASSES = {
     "RepeatabilityStats": lambda: repeatability_experiment(
         build_liouvillian(P_ME, 3), _ground_vacuum(3),
         t_meas=1.0, n_meas=3),
-    "QubitEigenbasis": lambda: eigenbasis(1.0, 0.1),
     "ReducedRecord": lambda: evolve_reduced(
         P_FLIP, eigenbasis(1.0, 0.1), np.diag([1.0, 0.0]).astype(complex),
         [0.0, 1.0]),

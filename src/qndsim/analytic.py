@@ -3,7 +3,9 @@ amplitude and its optimal detuning, outcome probabilities and the
 measurement-induced dephasing rate.
 
 Everything here is a pure function of SystemParams; the master-equation
-module provides the independent numerical check.
+module provides the independent numerical check.  The closed forms use
+math and cmath only, so fig2, fig3 and the analytic sweep never import
+numpy; alpha_of_t, and outcome_probability given an ndarray, use it.
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ import cmath
 import math
 from typing import Optional
 
-import numpy as np
-
-from .core import SystemParams
+from .params import SystemParams
 
 __all__ = [
     "pointer_state",
@@ -50,6 +50,8 @@ def alpha_of_t(params: SystemParams, sigma_z: int, t):
     vacuum-start solution of d<a>/dt = -if - (i det + kappa/2) <a>.
     Accepts scalar or array t.
     """
+    import numpy as np
+
     det = _detuning(params, sigma_z)
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0.0):
@@ -64,11 +66,14 @@ def signal_amplitude(params: SystemParams) -> complex:
 
     phi_0, phi_1 are the pointer phases for sigma_z = +1, -1.  Only |A|
     matters for outcome probabilities (the measured quadrature is rotated
-    to arg A).
+    to arg A).  The division by sqrt(2) is a product with its reciprocal,
+    the way numpy divides a complex by a real, which keeps A bit-identical
+    to that form.
     """
     phi0 = cmath.phase(pointer_state(params, +1))
     phi1 = cmath.phase(pointer_state(params, -1))
-    return params.f * (np.exp(2j * phi0) - np.exp(2j * phi1)) / math.sqrt(2.0)
+    return (params.f * (cmath.exp(2j * phi0) - cmath.exp(2j * phi1))
+            * (1.0 / math.sqrt(2.0)))
 
 
 def optimal_detuning(params: SystemParams) -> float:
@@ -93,18 +98,24 @@ def outcome_probability(params: SystemParams, sz0: float, t,
     integrated detector noise by the zero-point quadrature variance.
     sz0 is the initial qubit polarization <sigma_z>(0).
 
-    Accepts scalar or array t: a scalar gives a float, an array an array
-    of the same shape.  |A| depends only on params and is computed once
-    per call; entries at t = 0 are exactly 1/2.  numpy has no erf, so the
-    formula runs per element on Python floats, which also keeps a scalar
-    call free of numpy's per-operation overhead.
+    A scalar t gives a float, a list or tuple of times a list, and an
+    ndarray an array of its shape.  |A| depends only on params and is
+    computed once per call; entries at t = 0 are exactly 1/2.  The formula
+    runs per element on Python floats with math.erf, so only an ndarray t,
+    which means numpy is loaded already, brings numpy in.
     """
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     if not abs(sz0) <= 1.0 + 1e-12:
         raise ValueError(f"|sz0| must be <= 1, got {sz0}")
-    t = np.asarray(t, dtype=float)
-    times = t.ravel().tolist()
+    shape = getattr(t, "shape", None)    # set for numpy arrays and scalars
+    if shape is not None:
+        import numpy as np
+        times = np.asarray(t, dtype=float).ravel().tolist()
+    elif isinstance(t, (list, tuple)):
+        times = [float(tk) for tk in t]
+    else:
+        times = [float(t)]
     if any(not tk >= 0.0 for tk in times):
         raise ValueError("t must be >= 0")
     if not (variance is None or variance > 0.0):
@@ -120,7 +131,9 @@ def outcome_probability(params: SystemParams, sz0: float, t,
         if not var > 0.0:
             raise ValueError(f"variance must be > 0, got {var}")
         probs.append(0.5 * (1.0 + sign * math.erf(amp * tk / math.sqrt(2.0 * var))))
-    return probs[0] if t.ndim == 0 else np.array(probs).reshape(t.shape)
+    if shape:
+        return np.array(probs).reshape(shape)
+    return probs if isinstance(t, (list, tuple)) else probs[0]
 
 
 def gamma_m(params: SystemParams) -> float:

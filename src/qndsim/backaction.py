@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-# QubitEigenbasis and eigenbasis live in core; this module re-exports them
+# QubitEigenbasis and eigenbasis live in params; core re-exports them,
+# and so does this module, because bench/reduced_job.py reads them here
 from .core import (NumericsError, QubitEigenbasis, SystemParams, _check_grid,
                    _eigenvalue_below, _state_errors, eigenbasis, integrate)
 

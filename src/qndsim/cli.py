@@ -7,6 +7,9 @@ are shortest round-trip reprs: identical inputs give byte-identical files.
 
 Config files are line-oriented ``key = value`` with ``#`` comments; unknown
 keys are rejected.  The run mode is always given on the command line.
+
+The computing modules load inside the runners that use them, and the
+grids are plain lists, so fig2, fig3 and analytic run without numpy.
 """
 
 from __future__ import annotations
@@ -17,10 +20,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import analytic, backaction, lindblad
-from .core import DensityMatrix, NumericsError, SystemParams, fock_vacuum, tensor
+from .params import NumericsError, SystemParams, eigenbasis
 
 __all__ = [
     "ConfigError",
@@ -201,15 +201,17 @@ def run_fig2(cfg: RunConfig, n_detuning: int = 201, n_time: int = 200) -> SweepR
     integrated detector noise S_II * t.  Initial polarization +1, outcome +1.
     Each detuning evaluates its whole time row in one call per model.
     """
+    from . import analytic
+
     if not math.isfinite(n_time * cfg.t_max):
         raise ValueError(f"t_max = {cfg.t_max:g} overflows the fig2 time grid")
-    times = (np.arange(1, n_time + 1) * cfg.t_max / n_time).tolist()
+    times = [k * cfg.t_max / n_time for k in range(1, n_time + 1)]
     rows = []
-    for dw in np.linspace(-1.0, 1.0, n_detuning).tolist():
+    for dw in _linspace(-1.0, 1.0, n_detuning):
         p = cfg.system_params(delta_omega=dw)
         pz = analytic.outcome_probability(p, 1.0, times, +1, variance=0.5)
         pb = analytic.outcome_probability(p, 1.0, times, +1)
-        rows.extend(zip([dw] * n_time, times, pz.tolist(), pb.tolist()))
+        rows.extend(zip([dw] * n_time, times, pz, pb))
     return SweepResult(columns=("delta_omega", "t", "p_zero_point", "p_backaction"),
                        rows=rows)
 
@@ -220,12 +222,14 @@ def run_fig3(cfg: RunConfig, n_detuning: int = 201) -> SweepResult:
     Each kappa uses its matched noise floor S_II = 2/kappa and the fixed
     measurement time MEASURE_TIME.
     """
+    from . import analytic
+
     def row(kappa: float, dw: float) -> tuple:
         p = cfg.system_params(kappa=kappa, s_ii=2.0 / kappa, delta_omega=dw)
         return (kappa, dw, analytic.outcome_probability(p, 1.0, MEASURE_TIME, +1),
                 analytic.gamma_m(p))
 
-    detunings = np.linspace(-1.0, 1.0, n_detuning).tolist()
+    detunings = _linspace(-1.0, 1.0, n_detuning)
     return SweepResult(columns=("kappa", "delta_omega", "p_measure_0", "gamma_m"),
                        rows=[row(kappa, dw) for kappa in FIG3_KAPPAS
                              for dw in detunings])
@@ -235,13 +239,15 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     """One-parameter closed-form sweep (modes analytic and backaction)."""
     if cfg.sweep_param is None:
         raise ConfigError(f"mode {cfg.mode!r} requires sweep_* keys")
-    grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
+    grid = _linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
 
     if cfg.mode == "analytic":
+        from . import analytic
+
         def per_value(v: float) -> tuple:
-            p = cfg.system_params(**{cfg.sweep_param: float(v)})
+            p = cfg.system_params(**{cfg.sweep_param: v})
             # n_plus at detuning dw + g (sigma_z = -1), n_minus at dw - g
-            return (float(v),
+            return (v,
                     analytic.outcome_probability(p, 1.0, MEASURE_TIME, +1),
                     analytic.gamma_m(p),
                     p.photon_number(p.delta_omega + p.g),
@@ -249,11 +255,13 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
 
         columns = (cfg.sweep_param, "p_measure_0", "gamma_m", "n_plus", "n_minus")
     elif cfg.mode == "backaction":
+        from . import backaction
+
         def per_value(v: float) -> tuple:
-            p = cfg.system_params(**{cfg.sweep_param: float(v)})
-            basis = backaction.eigenbasis(p.epsilon, p.delta)
+            p = cfg.system_params(**{cfg.sweep_param: v})
+            basis = eigenbasis(p.epsilon, p.delta)
             rs = backaction.rates(p, basis)
-            return (float(v), rs.gamma_up, rs.gamma_down, rs.gamma_phi,
+            return (v, rs.gamma_up, rs.gamma_down, rs.gamma_phi,
                     rs.gamma_phi_pure, rs.t_eff,
                     backaction.spectral_density(p, 0.0))
 
@@ -269,18 +277,36 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     return SweepResult(columns=columns, rows=rows)
 
 
+def _linspace(start: float, stop: float, count: int) -> list:
+    """np.linspace(start, stop, count).tolist() for count >= 2, bit for
+    bit, in plain floats: k*step + start with the last point set to stop,
+    or (k/(count - 1))*span + start where the step underflows to 0."""
+    div = count - 1
+    span = stop - start
+    step = span / div
+    if step == 0.0:
+        points = [k / div * span + start for k in range(count)]
+    else:
+        points = [k * step + start for k in range(count)]
+    points[-1] = stop
+    return points
+
+
 def _grid_intervals(cfg: RunConfig) -> int:
     # for lindblad, parse_config guarantees t_max >= t_step, so this is >= 1
     return int(round(cfg.t_max / cfg.t_step))
 
 
-def _time_grid(cfg: RunConfig) -> np.ndarray:
+def _time_grid(cfg: RunConfig) -> list:
     n = _grid_intervals(cfg)
-    return np.linspace(0.0, n * cfg.t_step, n + 1)
+    return _linspace(0.0, n * cfg.t_step, n + 1)
 
 
-def _start(cfg: RunConfig, qubit: np.ndarray):
+def _start(cfg: RunConfig, qubit: list):
     # the generator and rho0 = qubit (x) vacuum of a master-equation run
+    from . import lindblad
+    from .core import DensityMatrix, fock_vacuum, tensor
+
     d = cfg.fock_dim
     liou = lindblad.build_liouvillian(cfg.system_params(), d)
     return liou, DensityMatrix(tensor(qubit, fock_vacuum(d)))
@@ -292,7 +318,9 @@ def run_lindblad(cfg: RunConfig):
     Returns (SweepResult, truncation), truncation being the run's verdict
     on the Fock truncation (see lindblad.EvolutionRecord).
     """
-    liou, rho0 = _start(cfg, np.full((2, 2), 0.5, dtype=complex))
+    from . import lindblad
+
+    liou, rho0 = _start(cfg, [[0.5, 0.5], [0.5, 0.5]])
     rec = lindblad.evolve(liou, rho0, _time_grid(cfg))
     rows = [(float(t), rec.sigma_z[k], rec.sigma_x[k], rec.a_mean[k].real,
              rec.a_mean[k].imag, rec.n_mean[k], rec.coherence01[k],
@@ -307,7 +335,9 @@ def run_repeat(cfg: RunConfig):
     from |0> times vacuum.  Returns (SweepResult, truncation) like
     run_lindblad.
     """
-    liou, rho0 = _start(cfg, np.diag([1.0 + 0j, 0.0]))
+    from . import lindblad
+
+    liou, rho0 = _start(cfg, [[1.0, 0.0], [0.0, 0.0]])
     stats = lindblad.repeatability_experiment(liou, rho0, t_meas=cfg.t_max,
                                               n_meas=3)
     rows = [(float(i + 1), float(p)) for i, p in enumerate(stats.pair_agreement)]
@@ -375,6 +405,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:
+        # a float power or conversion out of range, say g ** 2 at g = 1e200
+        print("error: a result overflows a float; a parameter is too large",
+              file=sys.stderr)
         return 2
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -197,6 +197,33 @@ def test_signal_amplitude_peaks_at_quadrature_detuning():
         assert abs(signal_amplitude(p)) < math.sqrt(2.0)
 
 
+def _numpy_signal_amplitude(p: SystemParams) -> complex:
+    # the numpy form: complex exponentials from np.exp, and numpy's
+    # division of a complex by a real
+    phi0 = cmath.phase(pointer_state(p, +1))
+    phi1 = cmath.phase(pointer_state(p, -1))
+    return p.f * (np.exp(2j * phi0) - np.exp(2j * phi1)) / math.sqrt(2.0)
+
+
+def test_signal_amplitude_is_the_numpy_form_bit_for_bit():
+    # A is computed with cmath; it must equal the numpy form exactly, so
+    # no figure or sweep CSV moves: on the fig2 grid (the default kappa),
+    # the fig3 grid (four kappas) and 10,000 random draws over decades
+    dws = np.linspace(-1.0, 1.0, 201).tolist()
+    points = [SystemParams(kappa=kappa, delta_omega=dw)
+              for kappa in (0.1, 0.2, 0.3, 0.4) for dw in dws]
+    rng = np.random.default_rng(20261020)
+    n = 10_000
+    draws = zip(10.0 ** rng.uniform(-3.0, 1.0, n),
+                rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-3.0, 1.0, n),
+                10.0 ** rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n))
+    points += [SystemParams(kappa=kappa, g=g, f=f, delta_omega=dw)
+               for kappa, g, f, dw in draws]
+    assert all(type(signal_amplitude(p)) is complex for p in points[:3])
+    differ = [p for p in points if signal_amplitude(p) != _numpy_signal_amplitude(p)]
+    assert differ == []
+
+
 def _peak_scan(kappa, g, f, dstar):
     # |A| and gamma_m on a detuning scan with 400 steps out to
     # dstar + 2 |g| on each side, plus dstar itself and its neighbours
@@ -344,6 +371,18 @@ def test_outcome_probability_array_equals_scalar_loop(outcome, variance):
     grid = t[1:51].reshape(5, 10)
     assert outcome_probability(P_FIG, 1.0, grid, outcome, variance=variance).shape \
         == (5, 10)
+
+
+def test_outcome_probability_list_gives_list():
+    # a list or tuple of times, as the cli passes, gives a list holding
+    # the ndarray path's values
+    t = [0.0, 0.1, 1.0, 40.0]
+    for variance in (None, 0.5):
+        ref = outcome_probability(P_FIG, 1.0, np.array(t), +1,
+                                  variance=variance).tolist()
+        for seq in (t, tuple(t)):
+            got = outcome_probability(P_FIG, 1.0, seq, +1, variance=variance)
+            assert type(got) is list and got == ref
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -9,6 +9,8 @@ import io
 import math
 import os
 import struct
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
@@ -402,6 +404,27 @@ def test_extreme_finite_inputs_exit_2(argv, fragment):
     assert out.getvalue() == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["fig3", "--set", "g=1e200"],
+    ["analytic", "--set", "sweep_param=kappa", "--set", "sweep_start=1",
+     "--set", "sweep_stop=1e200", "--set", "sweep_count=3"],
+    ["backaction", "--set", "delta=0.1", "--set", "sweep_param=g",
+     "--set", "sweep_start=0.01", "--set", "sweep_stop=1e200",
+     "--set", "sweep_count=3"],
+    ["lindblad", "--set", "t_max=1e308", "--set", "t_step=1e-10"],
+], ids=["fig3_g", "analytic_kappa", "backaction_g", "lindblad_grid"])
+def test_overflowing_results_exit_2(argv):
+    # g ** 2 or kappa ** 2 of a huge parameter (gamma_m, rates), or a grid
+    # of t_max / t_step = inf intervals, raise OverflowError: exit 2 with
+    # one error line, not a traceback
+    err, out = io.StringIO(), io.StringIO()
+    with redirect_stderr(err), redirect_stdout(out):
+        assert main(argv) == 2
+    assert err.getvalue() == ("error: a result overflows a float; "
+                              "a parameter is too large\n")
+    assert out.getvalue() == ""
+
+
 def test_repeat_whose_span_needs_too_many_steps_exits_2(monkeypatch):
     # a finite plan of ~1e11 Taylor steps would run for days: refused
     # with exit 2 before the first step, not left running; an apply call
@@ -582,3 +605,75 @@ def test_main_ignores_threads_and_takes_output_only_from_o(tmp_path, monkeypatch
         with redirect_stderr(err):
             assert main(argv) == 2
         assert "unknown key 'output'" in err.getvalue()
+
+
+# ---------------------------------------------------------------- numpy-free grids
+
+def _hex(values) -> list:
+    # float.hex tells -0.0 from 0.0, which repr in the CSV does too
+    return [float(v).hex() for v in values]
+
+
+def test_linspace_is_numpys_bit_for_bit():
+    # the figure grids, the lindblad time grids, count 2, start = stop,
+    # signed zeros, negative spans, a step that underflows to 0 (numpy's
+    # other branch) and 2,000 seeded draws over decades
+    cases = [(-1.0, 1.0, 201), (-1.0, 1.0, 7), (0.0, 2.0, 201),
+             (0.0, 40.0, 81), (0.0, 20.0, 401), (0.05, 0.5, 201),
+             (1.0, 2.0, 2), (-3.0, 5.0, 2), (3.0, 3.0, 5), (-0.0, -0.0, 3),
+             (-0.0, 0.0, 4), (2.0, -7.5, 11), (0.0, 5e-324, 4),
+             (1e-310, 3e-310, 7), (-1e-310, 1e-310, 9)]
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        a, b = rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.integers(-6, 7, 2)
+        cases.append((float(a), float(b), int(rng.integers(2, 400))))
+    for start, stop, count in cases:
+        assert _hex(cli._linspace(start, stop, count)) == _hex(
+            np.linspace(start, stop, count).tolist()), (start, stop, count)
+
+
+@pytest.mark.parametrize("t_max", (2.0, 0.7, 1e-3, 123.456, 1e300))
+def test_fig2_times_are_numpys_bit_for_bit(t_max):
+    cfg = parse_config(f"t_max = {t_max!r}\n", mode="fig2")
+    times = [row[1] for row in run_fig2(cfg, n_detuning=2, n_time=200).rows[:200]]
+    assert _hex(times) == _hex((np.arange(1, 201) * t_max / 200).tolist())
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_closed_form_subcommands_never_import_numpy(tmp_path):
+    sweep = ["--set", "sweep_param=delta_omega", "--set", "sweep_start=-1",
+             "--set", "sweep_stop=1", "--set", "sweep_count=201"]
+    runs = [[mode, *extra, "-o", str(tmp_path / f"{mode}.csv")]
+            for mode, extra in (("fig2", []), ("fig3", []), ("analytic", sweep))]
+    proc = _python(
+        "import sys\n"
+        "import qndsim.cli as cli\n"
+        f"for argv in {runs!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n")
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "fig3.csv").read_text() == emit_csv(
+        run_fig3(parse_config("", mode="fig3")))
+    assert (tmp_path / "fig2.csv").stat().st_size > 0
+    assert (tmp_path / "analytic.csv").read_text().count("\n") == 202
+
+
+def test_master_equation_run_loads_numpy_but_not_the_closed_forms(tmp_path):
+    out = tmp_path / "lindblad.csv"
+    proc = _python(
+        "import sys\n"
+        "import qndsim.cli as cli\n"
+        f"assert cli.main(['lindblad', '--set', 'fock_dim=20', '-o', {str(out)!r}]) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert 'qndsim.analytic' not in sys.modules\n"
+        "assert 'qndsim.backaction' not in sys.modules\n")
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().startswith("t,sigma_z,sigma_x,")
+    assert out.read_text().count("\n") == 202

@@ -11,8 +11,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
 from qndsim.analytic import (
@@ -24,6 +22,8 @@ from qndsim.analytic import (
     signal_amplitude,
 )
 from qndsim.core import SystemParams, integrate
+
+from tables import seeded_cases
 
 # the detuning-sweep operating point used for the figure grids
 P_FIG = SystemParams(f=1.0, kappa=0.1, g=0.3, delta_omega=0.3, s_ii=20.0)
@@ -237,9 +237,8 @@ def _peak_scan(kappa, g, f, dstar):
             np.array([gamma_m(p) for p in ps]))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(kappa=st.floats(0.01, 1.0), ratio=st.floats(1.05, 20.0),
-       f=st.floats(0.05, 2.0), sign=st.sampled_from([1.0, -1.0]))
+@seeded_cases(2701, 30, dict(kappa=(0.01, 1.0), ratio=(1.05, 20.0),
+                             f=(0.05, 2.0), sign=[1.0, -1.0]))
 def test_readout_peaks_at_optimal_detuning_above_half_linewidth(kappa, ratio, f,
                                                                 sign):
     # g > kappa/2: at delta_omega* = sqrt(g^2 - kappa^2/4) the pointer
@@ -261,9 +260,8 @@ def test_readout_peaks_at_optimal_detuning_above_half_linewidth(kappa, ratio, f,
         assert abs(best - dstar) <= step
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(kappa=st.floats(0.01, 1.0), ratio=st.floats(0.1, 0.9),
-       f=st.floats(0.05, 2.0))
+@seeded_cases(2702, 30, dict(kappa=(0.01, 1.0), ratio=(0.1, 0.9),
+                             f=(0.05, 2.0)))
 def test_readout_single_peak_at_zero_detuning_below_half_linewidth(kappa, ratio,
                                                                    f):
     # g <= kappa/2: one maximum, at delta_omega = 0, for both |A| and gamma_m
@@ -385,13 +383,16 @@ def test_outcome_probability_list_gives_list():
             assert type(got) is list and got == ref
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(kappa=st.floats(0.01, 2.0), g=st.floats(0.0, 1.0), f=st.floats(0.0, 2.0),
-       delta_omega=st.floats(-2.0, 2.0), s_ii=st.floats(0.01, 100.0),
-       sz0=st.floats(-1.0, 1.0), outcome=st.sampled_from((1, -1)),
-       variance=st.one_of(st.none(), st.floats(1e-3, 10.0)),
-       t=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
-                  min_size=1, max_size=30))
+def _times(rng):
+    # 1 to 30 times in [0, 50], about half of them exactly 0
+    return [0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 50.0))
+            for _ in range(int(rng.integers(1, 30, endpoint=True)))]
+
+
+@seeded_cases(2703, 40, dict(kappa=(0.01, 2.0), g=(0.0, 1.0), f=(0.0, 2.0),
+                             delta_omega=(-2.0, 2.0), s_ii=(0.01, 100.0),
+                             sz0=(-1.0, 1.0), outcome=[1, -1],
+                             variance=[None, (1e-3, 10.0)], t=_times))
 def test_outcome_probability_array_property(kappa, g, f, delta_omega, s_ii, sz0,
                                             outcome, variance, t):
     params = SystemParams(kappa=kappa, g=g, f=f, delta_omega=delta_omega, s_ii=s_ii)

@@ -17,8 +17,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import integrate as sci_integrate
 
 from qndsim import backaction
@@ -34,6 +32,7 @@ from qndsim.core import (
 from qndsim.lindblad import build_liouvillian
 
 from closed_forms import qubit_operator
+from tables import seeded_cases
 
 # symmetric-spectrum pinned point: equal up/down rates, infinite t_eff
 P_SYM = SystemParams(epsilon=1.0, delta=0.1, g=0.05, kappa=0.1, f=0.3,
@@ -293,11 +292,12 @@ def test_memory_kernel_reaches_golden_rule_rates():
     assert abs(k[1, 1, 1, 1].imag) < 1e-12 * rs.gamma_down
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(epsilon=st.floats(0.05, 2.0), delta=st.floats(0.0, 1.0),
-       g=st.floats(0.005, 0.1), kappa=st.floats(0.05, 1.0),
-       f=st.floats(0.1, 1.0), delta_omega=st.floats(-1.5, 1.5),
-       log_t=st.floats(-6.0, math.log10(60.0)))
+# the kernel's parameter ranges, shared by its two tests below
+_KERNEL_DRAW = dict(epsilon=(0.05, 2.0), delta=(0.0, 1.0), g=(0.005, 0.1),
+                    kappa=(0.05, 1.0), f=(0.1, 1.0), delta_omega=(-1.5, 1.5))
+
+
+@seeded_cases(2711, 40, dict(_KERNEL_DRAW, log_t=(-6.0, math.log10(60.0))))
 def test_memory_kernel_matches_quadrature(epsilon, delta, g, kappa, f,
                                           delta_omega, log_t):
     # the closed form against adaptive quadrature of M(t, tau) over tau,
@@ -313,19 +313,17 @@ def test_memory_kernel_matches_quadrature(epsilon, delta, g, kappa, f,
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(epsilon=st.floats(0.05, 2.0), delta=st.floats(0.0, 1.0),
-       g=st.floats(0.005, 0.1), kappa=st.floats(0.05, 1.0),
-       f=st.floats(0.1, 1.0), delta_omega=st.floats(-1.5, 1.5),
-       times=st.lists(st.floats(0.0, 400.0), max_size=12))
+@seeded_cases(2712, 30, dict(_KERNEL_DRAW, times=lambda rng: rng.uniform(
+    0.0, 400.0, rng.integers(0, 12, endpoint=True)).tolist()))
 def test_memory_kernel_over_array_equals_scalar_calls(epsilon, delta, g, kappa,
                                                       f, delta_omega, times):
     # time_dependent mode tabulates K over all stage times of an interval in
-    # one call; that must be exactly what per-time calls give
+    # one call; that must be exactly what per-time calls give, at the ends
+    # of [0, 400], the smallest positive time and up to 12 drawn times
     p = SystemParams(epsilon=epsilon, delta=delta, g=g, kappa=kappa, f=f,
                      delta_omega=delta_omega, s_ii=1.0)
     b = eigenbasis(epsilon, delta)
-    t = np.array([0.0, 400.0] + times)
+    t = np.array([0.0, 5e-324, 400.0] + times)
     got = _memory_kernel(p, b, t)
     assert got.shape == t.shape + (2, 2, 2, 2)
     want = np.stack([_memory_kernel(p, b, float(tk)) for tk in t])
@@ -480,20 +478,19 @@ def test_time_dependent_matches_adaptive_ode_oracle(p, rho0, tg):
     _assert_time_dependent_matches_dop853(p, rho0, tg)
 
 
-@settings(max_examples=10, deadline=None, derandomize=True)
-@given(g=st.floats(0.04, 0.06), f=st.floats(0.8, 1.2),
-       point=st.one_of(
-           st.just((0.05, 1.0, 1.0, 0.0)),    # the reduced job's
-           st.tuples(st.one_of(st.floats(-2.0, -0.05), st.floats(0.05, 2.0)),
-                     st.one_of(st.just(0.0), st.floats(0.05, 2.0)),
-                     st.floats(0.5, 2.0), st.floats(-1.0, 1.0))),
-       mix=st.floats(0.0, 1.0), phase=st.floats(-math.pi, math.pi))
+@seeded_cases(2713, 10, dict(g=(0.04, 0.06), f=(0.8, 1.2),
+                             epsilon=[(-2.0, -0.05), (0.05, 2.0)],
+                             delta=[0.0, (0.05, 2.0)], kappa=(0.5, 2.0),
+                             delta_omega=(-1.0, 1.0), mix=(0.0, 1.0),
+                             phase=(-math.pi, math.pi)),
+              # the reduced job's point, at its largest g and f, from |+>
+              reduced_job=dict(g=0.06, f=1.2, epsilon=0.05, delta=1.0,
+                               kappa=1.0, delta_omega=0.0, mix=1.0, phase=0.0))
 def test_time_dependent_step_matches_adaptive_ode_oracle_over_draws(
-        g, f, point, mix, phase):
+        g, f, epsilon, delta, kappa, delta_omega, mix, phase):
     # the step rule against DOP853 over the reduced job's (g, f) ranges,
     # at its operating point and at general epsilon, delta, kappa and
     # delta_omega, from a mixed state with a complex coherence
-    epsilon, delta, kappa, delta_omega = point
     p = SystemParams(epsilon=epsilon, delta=delta, g=g, kappa=kappa, f=f,
                      delta_omega=delta_omega, s_ii=2.0)
     coh = 0.5 * mix * np.exp(1j * phase)

@@ -8,6 +8,7 @@ insensitive to platform-specific float formatting of the last digit.
 import io
 import math
 import os
+import string
 import struct
 import subprocess
 import sys
@@ -17,8 +18,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from qndsim import analytic, backaction, cli, lindblad
 from qndsim.cli import (
@@ -125,25 +124,61 @@ def test_parse_config_overrides():
 # valid values for every key that parse_config takes; the sweep block is
 # all-or-none and t_max >= t_step is kept by drawing t_max as a multiple
 _CONFIG_VALUES = {
-    "epsilon": st.floats(-20.0, 20.0), "delta": st.floats(0.0, 5.0),
-    "g": st.floats(-1.0, 1.0), "kappa": st.floats(1e-3, 2.0),
-    "gamma1": st.floats(0.0, 1.0), "gamma2": st.floats(0.0, 1.0),
-    "f": st.floats(0.0, 3.0), "delta_omega": st.floats(-3.0, 3.0),
-    "s_ii": st.floats(1e-3, 50.0), "fock_dim": st.integers(2, 64),
+    "epsilon": (-20.0, 20.0), "delta": (0.0, 5.0), "g": (-1.0, 1.0),
+    "kappa": (1e-3, 2.0), "gamma1": (0.0, 1.0), "gamma2": (0.0, 1.0),
+    "f": (0.0, 3.0), "delta_omega": (-3.0, 3.0), "s_ii": (1e-3, 50.0),
+    "fock_dim": (2, 64),
 }
+_T_STEP, _T_MAX_STEPS = (1e-3, 1.0), (1, 50)
+_SWEEP_PARAMS = ("g", "kappa", "delta_omega")
+_SWEEP_BOUNDS, _SWEEP_COUNTS = (-1.0, 1.0), (2, 50)
+_OVERRIDE_MODES = ("analytic", "backaction", "fig2", "fig3", "repeat")
 
 
-@st.composite
-def _config_keys(draw):
-    keys = draw(st.fixed_dictionaries({}, optional=_CONFIG_VALUES))
-    t_step = draw(st.floats(1e-3, 1.0))
-    keys.update(t_step=t_step, t_max=t_step * draw(st.integers(1, 50)))
-    if draw(st.booleans()):
-        keys.update(sweep_param=draw(st.sampled_from(["g", "kappa", "delta_omega"])),
-                    sweep_start=draw(st.floats(-1.0, 1.0)),
-                    sweep_stop=draw(st.floats(-1.0, 1.0)),
-                    sweep_count=draw(st.integers(2, 50)))
+def _subset(rng, names):
+    # a random subset, in random order
+    order = rng.permutation(len(names))[:rng.integers(0, len(names), endpoint=True)]
+    return [names[i] for i in order]
+
+
+def _drawn_config(rng):
+    keys = {k: (int(rng.integers(lo, hi, endpoint=True)) if k == "fock_dim"
+                else float(rng.uniform(lo, hi)))
+            for k, (lo, hi) in _CONFIG_VALUES.items() if rng.random() < 0.5}
+    t_step = float(rng.uniform(*_T_STEP))
+    keys.update(t_step=t_step,
+                t_max=t_step * int(rng.integers(*_T_MAX_STEPS, endpoint=True)))
+    if rng.random() < 0.5:
+        keys.update(sweep_param=str(rng.choice(_SWEEP_PARAMS)),
+                    sweep_start=float(rng.uniform(*_SWEEP_BOUNDS)),
+                    sweep_stop=float(rng.uniform(*_SWEEP_BOUNDS)),
+                    sweep_count=int(rng.integers(*_SWEEP_COUNTS, endpoint=True)))
+    moved = _subset(rng, sorted(keys))
+    return keys, moved, _subset(rng, moved), str(rng.choice(_OVERRIDE_MODES))
+
+
+def _every_key(end):
+    # all 16 keys, each at the lower (end 0) or upper (end 1) end of its range
+    keys = {k: r[end] for k, r in _CONFIG_VALUES.items()}
+    keys.update(t_step=_T_STEP[end], t_max=_T_STEP[end] * _T_MAX_STEPS[end],
+                sweep_param=_SWEEP_PARAMS[end], sweep_start=_SWEEP_BOUNDS[end],
+                sweep_stop=_SWEEP_BOUNDS[end], sweep_count=_SWEEP_COUNTS[end])
     return keys
+
+
+def _override_cases(seed, n):
+    # n cases: the empty config and every key moved and stale, at both
+    # ends of its range, in each mode; then draws
+    cases = []
+    for mode in _OVERRIDE_MODES:
+        cases.append(pytest.param({}, [], [], mode, id=f"empty-{mode}"))
+        for end, name in enumerate(("lo", "hi")):
+            keys = _every_key(end)
+            cases.append(pytest.param(keys, sorted(keys), sorted(keys), mode,
+                                      id=f"all-moved-stale-{name}-{mode}"))
+    rng = np.random.default_rng(seed)
+    return cases + [pytest.param(*_drawn_config(rng), id=str(k))
+                    for k in range(n - len(cases))]
 
 
 def _config_text(keys):
@@ -151,17 +186,11 @@ def _config_text(keys):
                    for k, v in keys.items())
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(keys=_config_keys(), overridden=st.data(),
-       mode=st.sampled_from(["analytic", "backaction", "fig2", "fig3", "repeat"]))
-def test_parse_config_overrides_equal_text(keys, overridden, mode):
+@pytest.mark.parametrize("keys, moved, stale, mode", _override_cases(2741, 100))
+def test_parse_config_overrides_equal_text(keys, moved, stale, mode):
     # --set KEY=VALUE applied over a config file gives the config that
     # writing the same value into the file gives, for any split of the keys,
     # whether the file leaves an overridden key out or holds another value
-    names = sorted(keys)
-    moved = overridden.draw(st.lists(st.sampled_from(names), unique=True))
-    stale = overridden.draw(st.lists(st.sampled_from(moved), unique=True)
-                            if moved else st.just([]))
     text_keys = {k: v for k, v in keys.items() if k not in moved}
     text_keys.update({k: "stale" if isinstance(keys[k], str) else keys[k] + 1
                       for k in stale})
@@ -241,26 +270,61 @@ def test_csv_round_trips_infinity():
     assert math.isinf(back.rows[0][res.columns.index("t_eff")])
 
 
-_NAMES = st.from_regex(r"[a-z_][a-z0-9_]{0,11}", fullmatch=True)
+_NAME_START = string.ascii_lowercase + "_"
+_NAME_REST = _NAME_START + string.digits
 
 
-@st.composite
-def _tables(draw):
-    columns = tuple(draw(st.lists(_NAMES, min_size=1, max_size=6)))
-    finite = st.floats(allow_nan=False, allow_infinity=False)
-    rows = draw(st.lists(st.tuples(*[finite] * len(columns)), max_size=8))
+def _column_name(rng):
+    # [a-z_][a-z0-9_]{0,11}
+    rest = rng.choice(list(_NAME_REST), int(rng.integers(0, 11, endpoint=True)))
+    return str(rng.choice(list(_NAME_START))) + "".join(rest)
+
+
+def _finite_double(rng):
+    # a random 64-bit pattern, redrawn until finite: every exponent,
+    # subnormals included
+    x = math.inf
+    while not math.isfinite(x):
+        x = struct.unpack("<d", rng.bytes(8))[0]
+    return x
+
+
+def _drawn_table(rng):
+    columns = tuple(_column_name(rng)
+                    for _ in range(rng.integers(1, 6, endpoint=True)))
+    rows = [tuple(_finite_double(rng) for _ in columns)
+            for _ in range(rng.integers(0, 8, endpoint=True))]
     return SweepResult(columns=columns, rows=rows)
+
+
+# each with its negation: zero, the smallest subnormal, the largest
+# subnormal, the smallest normal, the largest double, and each side of
+# the two points where repr switches between fixed and exponent notation
+_EDGES = (0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+          1.7976931348623157e308, 9.999999999999999e-05, 1e-4,
+          9999999999999998.0, 1e16)
+
+
+def _table_cases(seed, n):
+    # n cases: the edges, an earlier example, then draws
+    rng = np.random.default_rng(seed)
+    cases = [
+        pytest.param(SweepResult(columns=("x", "z_0123456789"),
+                                 rows=[(v, -v) for v in _EDGES]), id="edges"),
+        pytest.param(SweepResult(columns=("x", "y"),
+                                 rows=[(-0.0, 0.0), (5e-324, -2.225073858507201e-308),
+                                       (2.2250738585072014e-308, -1.7976931348623157e308)]),
+                     id="example"),
+    ]
+    return cases + [pytest.param(_drawn_table(rng), id=str(k))
+                    for k in range(n - len(cases))]
 
 
 def _bits(rows):
     return [[struct.pack("<d", v) for v in row] for row in rows]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(table=_tables())
-@example(table=SweepResult(columns=("x", "y"),
-                           rows=[(-0.0, 0.0), (5e-324, -2.225073858507201e-308),
-                                 (2.2250738585072014e-308, -1.7976931348623157e308)]))
+@pytest.mark.parametrize("table", _table_cases(2742, 200))
 def test_csv_round_trip_property(table):
     back = parse_csv(emit_csv(table))
     assert back.columns == table.columns
@@ -652,6 +716,9 @@ def test_closed_form_subcommands_never_import_numpy(tmp_path):
              "--set", "sweep_stop=1", "--set", "sweep_count=201"]
     runs = [[mode, *extra, "-o", str(tmp_path / f"{mode}.csv")]
             for mode, extra in (("fig2", []), ("fig3", []), ("analytic", sweep))]
+    # fig2 at f = 1e308: amplitudes of -inf + nan j, whose modulus is inf,
+    # so every probability takes its limit erf(inf) = 1 and no row is nan
+    runs.append(["fig2", "--set", "f=1e308", "-o", str(tmp_path / "fig2_f.csv")])
     proc = _python(
         "import sys\n"
         "import qndsim.cli as cli\n"
@@ -663,6 +730,12 @@ def test_closed_form_subcommands_never_import_numpy(tmp_path):
         run_fig3(parse_config("", mode="fig3")))
     assert (tmp_path / "fig2.csv").stat().st_size > 0
     assert (tmp_path / "analytic.csv").read_text().count("\n") == 202
+    huge_f = (tmp_path / "fig2_f.csv").read_text()
+    assert "nan" not in huge_f
+    res = parse_csv(huge_f)
+    assert res.columns[2:] == ("p_zero_point", "p_backaction")
+    assert len(res.rows) == 40_200
+    assert all(row[2:] == (1.0, 1.0) for row in res.rows)
 
 
 def test_master_equation_run_loads_numpy_but_not_the_closed_forms(tmp_path):

@@ -3,9 +3,10 @@ amplitude and its optimal detuning, outcome probabilities and the
 measurement-induced dephasing rate.
 
 Everything here is a pure function of SystemParams; the master-equation
-module provides the independent numerical check.  The closed forms use
-math and cmath only, so fig2, fig3 and the analytic sweep never import
-numpy; alpha_of_t, and outcome_probability given an ndarray, use it.
+module provides the independent numerical check.  The closed forms run on
+Python floats with math and cmath, and this module never imports numpy.
+The two functions of time, alpha_of_t and outcome_probability, take one
+time (a number back) or a list or tuple of times (a list back).
 """
 
 from __future__ import annotations
@@ -44,21 +45,26 @@ def pointer_state(params: SystemParams, sigma_z: int) -> complex:
     return params.steady_amplitude(_detuning(params, sigma_z))
 
 
+def _times(t) -> list:
+    # one time, or a list or tuple of them, as floats; NaN fails like t < 0
+    times = [float(tk) for tk in t] if isinstance(t, (list, tuple)) else [float(t)]
+    if any(not tk >= 0.0 for tk in times):
+        raise ValueError("t must be >= 0")
+    return times
+
+
 def alpha_of_t(params: SystemParams, sigma_z: int, t):
     """Conditional resonator amplitude alpha(t) = alpha [1 - e^(-(i det +
     kappa/2) t)] from vacuum, alpha = pointer_state(params, sigma_z); the
     vacuum-start solution of d<a>/dt = -if - (i det + kappa/2) <a>.
-    Accepts scalar or array t.
-    """
-    import numpy as np
 
+    One time gives a complex, a list or tuple of times a list.
+    """
     det = _detuning(params, sigma_z)
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0.0):
-        raise ValueError("t must be >= 0")
-    decay = np.exp(-(1j * det + params.kappa / 2.0) * t)
-    out = params.steady_amplitude(det) * (1.0 - decay)
-    return complex(out) if out.ndim == 0 else out
+    times = _times(t)
+    alpha, rate = params.steady_amplitude(det), 1j * det + params.kappa / 2.0
+    out = [alpha * (1.0 - cmath.exp(-rate * tk)) for tk in times]
+    return out if isinstance(t, (list, tuple)) else out[0]
 
 
 def signal_amplitude(params: SystemParams) -> complex:
@@ -98,26 +104,15 @@ def outcome_probability(params: SystemParams, sz0: float, t,
     integrated detector noise by the zero-point quadrature variance.
     sz0 is the initial qubit polarization <sigma_z>(0).
 
-    A scalar t gives a float, a list or tuple of times a list, and an
-    ndarray an array of its shape.  |A| depends only on params and is
-    computed once per call; entries at t = 0 are exactly 1/2.  The formula
-    runs per element on Python floats with math.erf, so only an ndarray t,
-    which means numpy is loaded already, brings numpy in.
+    One time gives a float, a list or tuple of times a list.  |A| depends
+    only on params and is computed once per call; entries at t = 0 are
+    exactly 1/2.
     """
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     if not abs(sz0) <= 1.0 + 1e-12:
         raise ValueError(f"|sz0| must be <= 1, got {sz0}")
-    shape = getattr(t, "shape", None)    # set for numpy arrays and scalars
-    if shape is not None:
-        import numpy as np
-        times = np.asarray(t, dtype=float).ravel().tolist()
-    elif isinstance(t, (list, tuple)):
-        times = [float(tk) for tk in t]
-    else:
-        times = [float(t)]
-    if any(not tk >= 0.0 for tk in times):
-        raise ValueError("t must be >= 0")
+    times = _times(t)
     if not (variance is None or variance > 0.0):
         raise ValueError(f"variance must be > 0, got {variance}")
     amp = float(abs(signal_amplitude(params)))
@@ -131,8 +126,6 @@ def outcome_probability(params: SystemParams, sz0: float, t,
         if not var > 0.0:
             raise ValueError(f"variance must be > 0, got {var}")
         probs.append(0.5 * (1.0 + sign * math.erf(amp * tk / math.sqrt(2.0 * var))))
-    if shape:
-        return np.array(probs).reshape(shape)
     return probs if isinstance(t, (list, tuple)) else probs[0]
 
 

@@ -65,10 +65,10 @@ def spectral_density(params: SystemParams, omega: float) -> float:
     """Lorentzian photon-number noise spectrum, peaked at omega = -delta_omega:
     n_bar kappa / ((omega + delta_omega)^2 + kappa^2/4), the full-axis
     transform of the number correlator n_bar e^(i dw tau - kappa|tau|/2),
-    n_bar the bare driven cavity's steady occupation at the operating point."""
-    return float(params.photon_number(params.delta_omega) * params.kappa
-                 / ((np.asarray(omega, dtype=float) + params.delta_omega) ** 2
-                    + params.kappa ** 2 / 4.0))
+    n_bar the bare driven cavity's steady occupation at the operating point.
+    Plain float arithmetic: its overflow is an OverflowError, not inf."""
+    return (params.photon_number(params.delta_omega) * params.kappa
+            / ((float(omega) + params.delta_omega) ** 2 + params.kappa ** 2 / 4.0))
 
 
 def rates(params: SystemParams, basis: QubitEigenbasis) -> RateSet:

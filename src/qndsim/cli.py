@@ -250,8 +250,8 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
             return (v,
                     analytic.outcome_probability(p, 1.0, MEASURE_TIME, +1),
                     analytic.gamma_m(p),
-                    p.photon_number(p.delta_omega + p.g),
-                    p.photon_number(p.delta_omega - p.g))
+                    p.photon_number(analytic._detuning(p, -1)),
+                    p.photon_number(analytic._detuning(p, +1)))
 
         columns = (cfg.sweep_param, "p_measure_0", "gamma_m", "n_plus", "n_minus")
     elif cfg.mode == "backaction":

@@ -72,7 +72,7 @@ def test_criterion_1_conditional_amplitudes_track_pointer_states():
     for qubit_index, sz in ((0, +1), (1, -1)):
         me = np.array([conditional_amplitude(st, qubit_index)
                        for st in rec.states])
-        ref = alpha_of_t(p, sz, tg)
+        ref = np.array(alpha_of_t(p, sz, tg.tolist()))
         worst = max(worst, float(np.max(np.abs(me - ref))))
     elapsed = perf_counter() - t0
     ok = worst <= 1e-6 and rec.truncation is None and elapsed <= 30.0

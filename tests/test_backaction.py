@@ -173,6 +173,39 @@ def test_spectrum_normalization_and_peak():
     assert peak > spectral_density(p, 0.0) > spectral_density(p, 1.0)
 
 
+def _numpy_spectral_density(params, omega):
+    # the same formula evaluated through numpy: the oracle for its bits
+    return float(params.photon_number(params.delta_omega) * params.kappa
+                 / ((np.asarray(omega, dtype=float) + params.delta_omega) ** 2
+                    + params.kappa ** 2 / 4.0))
+
+
+def test_spectral_density_is_the_numpy_form_bit_for_bit():
+    # S is computed on Python floats; it must equal the numpy form exactly,
+    # so no backaction CSV moves: at omega = +-E and 0, as rates reads it,
+    # and at a random omega, over 10,000 draws across decades
+    rng = np.random.default_rng(20261028)
+    n = 10_000
+
+    def decades(lo, hi, signed=False):
+        sign = rng.choice((-1.0, 1.0), n) if signed else 1.0
+        return (sign * 10.0 ** rng.uniform(lo, hi, n)).tolist()
+
+    draws = zip(decades(-3.0, 2.0, signed=True), decades(-3.0, 2.0),
+                decades(-3.0, 1.0), decades(-3.0, 3.0),
+                decades(-3.0, 1.0, signed=True), decades(-3.0, 3.0, signed=True))
+    differ = []
+    for epsilon, delta, kappa, f, dw, w in draws:
+        p = SystemParams(epsilon=epsilon, delta=delta, kappa=kappa, f=f,
+                         delta_omega=dw)
+        e = eigenbasis(epsilon, delta).splitting
+        for omega in (e, -e, 0.0, w, -dw):
+            got = spectral_density(p, omega)
+            if type(got) is not float or got != _numpy_spectral_density(p, omega):
+                differ.append((p, omega))
+    assert differ == []
+
+
 def test_number_correlator_matches_quantum_regression():
     # cross-check against the full master equation at zero detuning, where
     # the driven cavity rests in the exact coherent steady state

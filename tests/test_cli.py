@@ -475,12 +475,20 @@ def test_extreme_finite_inputs_exit_2(argv, fragment):
     ["backaction", "--set", "delta=0.1", "--set", "sweep_param=g",
      "--set", "sweep_start=0.01", "--set", "sweep_stop=1e200",
      "--set", "sweep_count=3"],
+    ["backaction", "--set", "epsilon=1e200", "--set", "delta=0.1",
+     "--set", "sweep_param=g", "--set", "sweep_start=0.01",
+     "--set", "sweep_stop=0.05", "--set", "sweep_count=3"],
+    ["backaction", "--set", "epsilon=1", "--set", "delta=1e200",
+     "--set", "sweep_param=g", "--set", "sweep_start=0.01",
+     "--set", "sweep_stop=0.05", "--set", "sweep_count=3"],
     ["lindblad", "--set", "t_max=1e308", "--set", "t_step=1e-10"],
-], ids=["fig3_g", "analytic_kappa", "backaction_g", "lindblad_grid"])
+], ids=["fig3_g", "analytic_kappa", "backaction_g", "backaction_epsilon",
+        "backaction_delta", "lindblad_grid"])
 def test_overflowing_results_exit_2(argv):
-    # g ** 2 or kappa ** 2 of a huge parameter (gamma_m, rates), or a grid
-    # of t_max / t_step = inf intervals, raise OverflowError: exit 2 with
-    # one error line, not a traceback
+    # g ** 2 or kappa ** 2 of a huge parameter (gamma_m, rates), the
+    # squared splitting in spectral_density at epsilon or delta = 1e200, or
+    # a grid of t_max / t_step = inf intervals, raise OverflowError: exit 2
+    # with one error line, not a traceback or a warning
     err, out = io.StringIO(), io.StringIO()
     with redirect_stderr(err), redirect_stdout(out):
         assert main(argv) == 2
@@ -721,7 +729,18 @@ def test_closed_form_subcommands_never_import_numpy(tmp_path):
     runs.append(["fig2", "--set", "f=1e308", "-o", str(tmp_path / "fig2_f.csv")])
     proc = _python(
         "import sys\n"
+        "import qndsim.analytic as a\n"
         "import qndsim.cli as cli\n"
+        # every public closed form, both time forms of the two that take t
+        "p = cli.SystemParams()\n"
+        "for t in (2.0, [0.0, 2.0], (2.0,)):\n"
+        "    calls = {'pointer_state': (p, 1), 'alpha_of_t': (p, -1, t),\n"
+        "             'signal_amplitude': (p,), 'optimal_detuning': (p,),\n"
+        "             'outcome_probability': (p, 1.0, t, +1), 'gamma_m': (p,)}\n"
+        "    assert sorted(calls) == sorted(a.__all__)\n"
+        "    for name, args in calls.items():\n"
+        "        getattr(a, name)(*args)\n"
+        "assert 'numpy' not in sys.modules\n"
         f"for argv in {runs!r}:\n"
         "    assert cli.main(argv) == 0, argv\n"
         "    assert 'numpy' not in sys.modules, argv\n")

@@ -787,7 +787,7 @@ def test_conditional_amplitudes_follow_pointer_trajectories():
     for qubit_index, sz in ((0, +1), (1, -1)):
         me = np.array([conditional_amplitude(st, qubit_index)
                        for st in rec.states])
-        ref = alpha_of_t(P_ME, sz, tg)
+        ref = np.array(alpha_of_t(P_ME, sz, tg.tolist()))
         assert np.max(np.abs(me - ref)) < 1e-6
 
 

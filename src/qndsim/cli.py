@@ -8,8 +8,10 @@ are shortest round-trip reprs: identical inputs give byte-identical files.
 Config files are line-oriented ``key = value`` with ``#`` comments; unknown
 keys are rejected.  The run mode is always given on the command line.
 
-The computing modules load inside the runners that use them, and the
-grids are plain lists, so fig2, fig3 and analytic run without numpy.
+Every runner returns a SweepResult: main writes its CSV, then exits 3 if
+its truncation (a master-equation run's Fock verdict) is set.  The
+computing modules load inside the runners that use them, and the grids
+are plain lists, so fig2, fig3 and analytic run without numpy.
 """
 
 from __future__ import annotations
@@ -84,6 +86,8 @@ class RunConfig:
         # SystemParams rejects the kappa
         if "s_ii" not in kw and kappa > 0.0:
             kw["s_ii"] = 2.0 / kappa
+            if kw["s_ii"] == math.inf:
+                raise ValueError(f"kappa = {kappa} overflows the default s_ii = 2/kappa")
         return SystemParams(**kw)
 
 
@@ -91,6 +95,7 @@ class RunConfig:
 class SweepResult:
     columns: tuple
     rows: list
+    truncation: Optional[str] = None    # a master-equation run's Fock verdict
 
 
 def _parse_kv_lines(text: str) -> dict:
@@ -312,12 +317,8 @@ def _start(cfg: RunConfig, qubit: list):
     return liou, DensityMatrix(tensor(qubit, fock_vacuum(d)))
 
 
-def run_lindblad(cfg: RunConfig):
-    """Master-equation run from (|0> + |1>)/sqrt(2) times vacuum.
-
-    Returns (SweepResult, truncation), truncation being the run's verdict
-    on the Fock truncation (see lindblad.EvolutionRecord).
-    """
+def run_lindblad(cfg: RunConfig) -> SweepResult:
+    """Master-equation run from (|0> + |1>)/sqrt(2) times vacuum."""
     from . import lindblad
 
     liou, rho0 = _start(cfg, [[0.5, 0.5], [0.5, 0.5]])
@@ -327,21 +328,20 @@ def run_lindblad(cfg: RunConfig):
              rec.top_fock[k]) for k, t in enumerate(rec.t_grid)]
     return SweepResult(columns=("t", "sigma_z", "sigma_x", "re_a", "im_a",
                                 "n_photon", "coherence01", "top_fock"),
-                       rows=rows), rec.truncation
+                       rows=rows, truncation=rec.truncation)
 
 
-def run_repeat(cfg: RunConfig):
+def run_repeat(cfg: RunConfig) -> SweepResult:
     """Three consecutive qubit measurements separated by t_max windows,
-    from |0> times vacuum.  Returns (SweepResult, truncation) like
-    run_lindblad.
-    """
+    from |0> times vacuum."""
     from . import lindblad
 
     liou, rho0 = _start(cfg, [[1.0, 0.0], [0.0, 0.0]])
     stats = lindblad.repeatability_experiment(liou, rho0, t_meas=cfg.t_max,
                                               n_meas=3)
     rows = [(float(i + 1), float(p)) for i, p in enumerate(stats.pair_agreement)]
-    return SweepResult(columns=("pair", "agreement"), rows=rows), stats.truncation
+    return SweepResult(columns=("pair", "agreement"), rows=rows,
+                       truncation=stats.truncation)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -381,42 +381,38 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             overrides[key.strip()] = value.strip()
 
         cfg = parse_config(text, args.mode, overrides)
-
-        truncation = None
-        if cfg.mode in ("analytic", "backaction"):
-            result = run_sweep(cfg)
-        elif cfg.mode == "fig2":
-            result = run_fig2(cfg)
-        elif cfg.mode == "fig3":
-            result = run_fig3(cfg)
-        elif cfg.mode == "lindblad":
-            result, truncation = run_lindblad(cfg)
-        else:
-            result, truncation = run_repeat(cfg)
+        # built at each call: a runner replaced on the module after import
+        # (a tracer's wrapper, a test's stub) is the one that runs
+        runners = {"analytic": run_sweep, "backaction": run_sweep,
+                   "fig2": run_fig2, "fig3": run_fig3,
+                   "lindblad": run_lindblad, "repeat": run_repeat}
+        result = runners[cfg.mode](cfg)
 
         # an empty -o, like none, means stdout
         out = emit_csv(result, args.output or None)
         if not args.output:
             sys.stdout.write(out)
-        if truncation is not None:
-            print(f"error: top Fock levels exceeded the truncation threshold "
-                  f"({truncation}); increase fock_dim", file=sys.stderr)
-            return 3
+        if result.truncation is not None:
+            return _fail(f"top Fock levels exceeded the truncation threshold "
+                         f"({result.truncation}); increase fock_dim", 3)
         return 0
     except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OverflowError:
-        # a float power or conversion out of range, say g ** 2 at g = 1e200
-        print("error: a result overflows a float; a parameter is too large",
-              file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
+    except ArithmeticError:
+        # a float power or conversion out of range (g ** 2 at g = 1e200), or
+        # numpy overflow or invalid arithmetic building a generator
+        return _fail("a result overflows a float; a parameter is too large", 2)
+    except MemoryError:
+        return _fail("the run needs more memory than is available", 2)
     except NumericsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(exc, 3)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return _fail(exc, 4)
+
+
+def _fail(message, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -193,7 +193,8 @@ def build_liouvillian(params: SystemParams, fock_dim: int) -> Liouvillian:
     from core.eigenbasis, which keeps the QND-violating piece.
     Qubit dissipators act in the same qubit basis.  Each jump operator is
     its one nonzero diagonal: I (x) a at offset +1, sigma_- (x) I at -dim
-    and sigma_z (x) I at 0.  fock_dim < 2 raises ValueError.
+    and sigma_z (x) I at 0.  fock_dim < 2 raises ValueError, and a float
+    overflow or invalid result (g = 1e308, say) FloatingPointError.
     """
     if not fock_dim >= 2:
         raise ValueError(f"Fock dimension must be >= 2, got {fock_dim}")
@@ -208,13 +209,6 @@ def build_liouvillian(params: SystemParams, fock_dim: int) -> Liouvillian:
         coupling = math.cos(basis.eta) * sz + math.sin(basis.eta) * sx
 
     d = fock_dim
-    a = annihilation(d)
-    n_op = number_operator(d)
-    i_f = np.eye(d, dtype=complex)
-    h = (tensor((energy / 2.0) * sz, i_f)
-         + tensor(params.delta_omega * ident - params.g * coupling, n_op)
-         + tensor(ident, params.f * (a + a.conj().T)))
-
     dissipators = []
     if params.kappa > 0.0:
         dissipators.append((params.kappa, 1, _ladder_diagonal(d)))
@@ -223,7 +217,15 @@ def build_liouvillian(params: SystemParams, fock_dim: int) -> Liouvillian:
     if params.gamma2 > 0.0:
         dissipators.append((params.gamma2 / 2.0, 0, np.repeat([1.0 + 0j, -1.0], d)))
 
-    return Liouvillian(hamiltonian=h, dissipators=tuple(dissipators), frame=frame)
+    a = annihilation(d)
+    n_op = number_operator(d)
+    i_f = np.eye(d, dtype=complex)
+    with np.errstate(over="raise", invalid="raise"):
+        h = (tensor((energy / 2.0) * sz, i_f)
+             + tensor(params.delta_omega * ident - params.g * coupling, n_op)
+             + tensor(ident, params.f * (a + a.conj().T)))
+        return Liouvillian(hamiltonian=h, dissipators=tuple(dissipators),
+                           frame=frame)
 
 
 def _ladder_diagonal(dim: int) -> np.ndarray:

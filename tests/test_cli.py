@@ -105,6 +105,7 @@ def test_parse_config_sweep_block():
     ("t_max = 0\n", "repeat", "t_max must be > 0"),
     ("t_max = -1\n", "repeat", "t_max must be > 0"),
     ("fock_dim = 1\n", "repeat", "fock_dim must be >= 2"),
+    ("kappa = 5e-324\n", "fig3", "kappa = 5e-324 overflows the default s_ii"),
 ])
 def test_parse_config_rejections(text, mode, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -468,6 +469,14 @@ def test_extreme_finite_inputs_exit_2(argv, fragment):
     assert out.getvalue() == ""
 
 
+# a huge coupling, detuning, rate or drive in both master-equation modes:
+# an overflow, or inf - inf, in the generator's entries or norm bound
+_GENERATOR_OVERFLOWS = [(mode, setting) for mode in ("lindblad", "repeat")
+                        for setting in ("g=1e308", "g=-1e308", "delta_omega=1e308",
+                                        "delta_omega=-1e308", "kappa=1e308",
+                                        "gamma1=1e308", "f=1e308")]
+
+
 @pytest.mark.parametrize("argv", [
     ["fig3", "--set", "g=1e200"],
     ["analytic", "--set", "sweep_param=kappa", "--set", "sweep_start=1",
@@ -482,12 +491,16 @@ def test_extreme_finite_inputs_exit_2(argv, fragment):
      "--set", "sweep_param=g", "--set", "sweep_start=0.01",
      "--set", "sweep_stop=0.05", "--set", "sweep_count=3"],
     ["lindblad", "--set", "t_max=1e308", "--set", "t_step=1e-10"],
+    *([mode, "--set", setting, "--set", "fock_dim=3", "--set", "t_max=0.02"]
+      for mode, setting in _GENERATOR_OVERFLOWS),
 ], ids=["fig3_g", "analytic_kappa", "backaction_g", "backaction_epsilon",
-        "backaction_delta", "lindblad_grid"])
+        "backaction_delta", "lindblad_grid",
+        *(f"{mode}_{setting}" for mode, setting in _GENERATOR_OVERFLOWS)])
 def test_overflowing_results_exit_2(argv):
     # g ** 2 or kappa ** 2 of a huge parameter (gamma_m, rates), the
     # squared splitting in spectral_density at epsilon or delta = 1e200, or
-    # a grid of t_max / t_step = inf intervals, raise OverflowError: exit 2
+    # a grid of t_max / t_step = inf intervals, raise OverflowError, and a
+    # generator whose entries overflow raises FloatingPointError: exit 2
     # with one error line, not a traceback or a warning
     err, out = io.StringIO(), io.StringIO()
     with redirect_stderr(err), redirect_stdout(out):
@@ -513,11 +526,27 @@ def test_repeat_whose_span_needs_too_many_steps_exits_2(monkeypatch):
     assert "Taylor steps, limit 1e+06" in err.getvalue()
 
 
+def test_generator_out_of_memory_exits_2(monkeypatch):
+    # fock_dim = 100000 asks numpy for a 74.5 GiB operator: exit 2 with one
+    # line, not a traceback; the stub raises without allocating
+    def refused(params, fock_dim):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(lindblad, "build_liouvillian", refused)
+    for mode in ("lindblad", "repeat"):
+        err, out = io.StringIO(), io.StringIO()
+        with redirect_stderr(err), redirect_stdout(out):
+            assert main([mode, "--set", "fock_dim=100000"]) == 2
+        assert err.getvalue() == ("error: the run needs more memory than "
+                                  "is available\n")
+        assert out.getvalue() == ""
+
+
 def test_run_lindblad_quick():
     cfg = parse_config("epsilon = 0.0\nf = 0.05\nfock_dim = 8\nt_max = 1.0\n"
                        "t_step = 0.1\n", mode="lindblad")
-    res, truncation = run_lindblad(cfg)
-    assert truncation is None
+    res = run_lindblad(cfg)
+    assert res.truncation is None
     assert res.columns[0] == "t" and "coherence01" in res.columns
     assert len(res.rows) == 11
     assert res.rows[0][res.columns.index("coherence01")] == pytest.approx(0.5)
@@ -528,8 +557,8 @@ def test_run_lindblad_quick():
 def test_run_repeat_quick():
     cfg = parse_config("epsilon = 0.0\nf = 0.05\nfock_dim = 8\nt_max = 10.0\n",
                        mode="repeat")
-    res, truncation = run_repeat(cfg)
-    assert truncation is None
+    res = run_repeat(cfg)
+    assert res.truncation is None
     assert res.columns == ("pair", "agreement")
     assert [r[1] for r in res.rows] == pytest.approx([1.0, 1.0], abs=1e-12)
 
@@ -652,6 +681,35 @@ def test_main_default_repeat_exit_3_names_the_round(tmp_path):
     assert ("peak top-two-level population 5.31e-01 in measurement round 2, "
             "threshold 1e-06, first exceeded in measurement round 1") in err.getvalue()
     assert parse_csv(out.read_text()).columns == ("pair", "agreement")
+
+
+@pytest.mark.parametrize("truncation", (None, "peak 1e-03 at t = 2"))
+@pytest.mark.parametrize("mode, runner", [
+    ("analytic", "run_sweep"), ("backaction", "run_sweep"), ("fig2", "run_fig2"),
+    ("fig3", "run_fig3"), ("lindblad", "run_lindblad"), ("repeat", "run_repeat")])
+def test_main_runs_the_module_runner_of_each_mode(tmp_path, monkeypatch, mode,
+                                                  runner, truncation):
+    # main looks each runner up on the module at call time, so a stub (or
+    # the benchmark tracer's wrapper) set after import is the one that runs,
+    # and the exit follows the SweepResult's truncation alone
+    calls = []
+    for name in ("run_sweep", "run_fig2", "run_fig3", "run_lindblad", "run_repeat"):
+        def stub(cfg, name=name):
+            calls.append((name, cfg.mode))
+            return SweepResult(("x",), [(1.0,)], truncation=truncation)
+        monkeypatch.setattr(cli, name, stub)
+    out, err = tmp_path / "out.csv", io.StringIO()
+    with redirect_stderr(err):
+        code = main([mode, "-o", str(out)])
+    assert calls == [(runner, mode)]
+    assert out.read_text() == "x\n1.0\n"
+    if truncation is None:
+        assert (code, err.getvalue()) == (0, "")
+    else:
+        assert code == 3
+        assert err.getvalue() == ("error: top Fock levels exceeded the truncation "
+                                  "threshold (peak 1e-03 at t = 2); "
+                                  "increase fock_dim\n")
 
 
 def test_main_thread_count_does_not_change_bytes(tmp_path):

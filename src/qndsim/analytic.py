@@ -23,6 +23,7 @@ __all__ = [
     "signal_amplitude",
     "optimal_detuning",
     "outcome_probability",
+    "photon_numbers",
     "gamma_m",
 ]
 
@@ -124,18 +125,23 @@ def outcome_probability(params: SystemParams, sz0: float, t,
             continue
         var = params.s_ii * tk if variance is None else float(variance)
         if not var > 0.0:
-            raise ValueError(f"variance must be > 0, got {var}")
+            # only S_II * t can get here: a given variance is checked above
+            raise ValueError(f"variance must be > 0, got {var}: s_ii * t = "
+                             f"{params.s_ii} * {tk} underflows to 0")
         probs.append(0.5 * (1.0 + sign * math.erf(amp * tk / math.sqrt(2.0 * var))))
     return probs if isinstance(t, (list, tuple)) else probs[0]
 
 
-def gamma_m(params: SystemParams) -> float:
-    """Measurement-induced dephasing rate (n_+ + n_-) kappa g^2 / (kappa^2/4 + g^2 + dw^2).
+def photon_numbers(params: SystemParams) -> tuple[float, float]:
+    """The steady photon numbers (n_+, n_-) at detunings dw + g
+    (sigma_z = -1) and dw - g (sigma_z = +1)."""
+    return (params.photon_number(_detuning(params, -1)),
+            params.photon_number(_detuning(params, +1)))
 
-    n_+ and n_- are the steady photon numbers at detunings dw + g
-    (sigma_z = -1) and dw - g (sigma_z = +1).
-    """
-    n_plus = params.photon_number(_detuning(params, -1))
-    n_minus = params.photon_number(_detuning(params, +1))
+
+def gamma_m(params: SystemParams) -> float:
+    """Measurement-induced dephasing rate (n_+ + n_-) kappa g^2 / (kappa^2/4 + g^2 + dw^2),
+    n_+ and n_- from photon_numbers."""
+    n_plus, n_minus = photon_numbers(params)
     return ((n_plus + n_minus) * params.kappa * params.g ** 2
             / (params.kappa ** 2 / 4.0 + params.g ** 2 + params.delta_omega ** 2))

@@ -251,12 +251,9 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
 
         def per_value(v: float) -> tuple:
             p = cfg.system_params(**{cfg.sweep_param: v})
-            # n_plus at detuning dw + g (sigma_z = -1), n_minus at dw - g
             return (v,
                     analytic.outcome_probability(p, 1.0, MEASURE_TIME, +1),
-                    analytic.gamma_m(p),
-                    p.photon_number(analytic._detuning(p, -1)),
-                    p.photon_number(analytic._detuning(p, +1)))
+                    analytic.gamma_m(p), *analytic.photon_numbers(p))
 
         columns = (cfg.sweep_param, "p_measure_0", "gamma_m", "n_plus", "n_minus")
     elif cfg.mode == "backaction":
@@ -349,16 +346,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qnd",
         description="Dispersive qubit readout: closed-form sweeps, "
                     "master-equation runs and figure grids as CSV.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for mode in MODES:
-        p = sub.add_parser(mode)
-        p.set_defaults(mode=mode)
-        p.add_argument("-c", "--config", help="path to key = value config file")
-        p.add_argument("-o", "--output", help="CSV output path (default stdout)")
-        # ignored: runs are single-threaded, but bench/workloads.py passes it
-        p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a config key")
+    parser.add_argument("mode", choices=MODES)
+    parser.add_argument("-c", "--config", help="path to key = value config file")
+    parser.add_argument("-o", "--output", help="CSV output path (default stdout)")
+    # ignored: runs are single-threaded, but bench/workloads.py passes it
+    parser.add_argument("--threads", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="override a config key")
     return parser
 
 

@@ -14,7 +14,7 @@ core.expm_action through Liouvillian.apply alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -42,7 +42,6 @@ _BRANCH_PRUNE = 1e-12
 _TOP_POPULATION_THRESHOLD = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
 class Liouvillian:
     """Precomputed generator: a real Hamiltonian (else ValueError) plus
     weighted jump operators.
@@ -69,17 +68,9 @@ class Liouvillian:
     apply uses a scratch array, so it is not re-entrant.
     """
 
-    hamiltonian: np.ndarray
-    dissipators: tuple = field(default_factory=tuple)
-    frame: float = 0.0
-    norm_bound: float = field(init=False, repr=False)
-    _h_stack: np.ndarray = field(init=False, repr=False)    # (k, n/k, n/k)
-    # (flat weights, target slice, source slice) per distinct offset
-    _jumps: tuple = field(init=False, repr=False)
-    _scratch: np.ndarray = field(init=False, repr=False)
-    _x_stack: np.ndarray = field(init=False, repr=False)    # _scratch as (k, n/k, 2n)
-
-    def __post_init__(self) -> None:
+    def __init__(self, hamiltonian: np.ndarray, dissipators: tuple = (),
+                 frame: float = 0.0) -> None:
+        self.hamiltonian, self.dissipators, self.frame = hamiltonian, dissipators, frame
         n = len(self.hamiltonian)
         if np.any(np.imag(self.hamiltonian)):
             raise ValueError("hamiltonian must be real")
@@ -111,12 +102,13 @@ class Liouvillian:
         h, m = self.hamiltonian.real, n // 2
         blocks = 2 * m == n and not (h[:m, m:].any() or h[m:, :m].any())
         h = np.stack([h[:m, :m], h[m:, m:]]) if blocks else h[None]
-        tmp = np.empty_like(h_eff)
-        object.__setattr__(self, "norm_bound", float(bound))
-        object.__setattr__(self, "_h_stack", np.ascontiguousarray(h, dtype=float))
-        object.__setattr__(self, "_jumps", tuple(jumps))
-        object.__setattr__(self, "_scratch", tmp)
-        object.__setattr__(self, "_x_stack", tmp.view(float).reshape(len(h), -1, 2 * n))
+        self._scratch = tmp = np.empty_like(h_eff)
+        self.norm_bound = float(bound)
+        self._h_stack = np.ascontiguousarray(h, dtype=float)    # (k, n/k, n/k)
+        # (flat weights, target slice, source slice) per distinct offset
+        self._jumps = tuple(jumps)
+        # _scratch as (k, n/k, 2n)
+        self._x_stack = tmp.view(float).reshape(len(h), -1, 2 * n)
 
     @property
     def space(self) -> SimpleNamespace:

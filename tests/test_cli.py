@@ -34,7 +34,7 @@ from qndsim.cli import (
     run_repeat,
     run_sweep,
 )
-from qndsim.core import SystemParams
+from qndsim.core import NumericsError, SystemParams
 
 DATA = Path(__file__).parent / "data"
 
@@ -510,6 +510,26 @@ def test_overflowing_results_exit_2(argv):
     assert out.getvalue() == ""
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["fig2", "--set", "s_ii=5e-324"],
+     "error: variance must be > 0, got 0.0: s_ii * t = 5e-324 * 0.01 "
+     "underflows to 0"),
+    (["analytic", "--set", "s_ii=5e-324", "--set", "sweep_param=g",
+      "--set", "sweep_start=0.1", "--set", "sweep_stop=0.2",
+      "--set", "sweep_count=3"],
+     "error: sweep left the valid parameter domain: variance must be > 0, "
+     "got 0.0: s_ii * t = 5e-324 * 0.1 underflows to 0"),
+], ids=["fig2", "analytic"])
+def test_noise_floor_underflow_names_s_ii(argv, line):
+    # S_II * t underflows to 0 at the first time: the error names s_ii and
+    # that time, not only a variance the user never set
+    err, out = io.StringIO(), io.StringIO()
+    with redirect_stderr(err), redirect_stdout(out):
+        assert main(argv) == 2
+    assert err.getvalue() == line + "\n"
+    assert out.getvalue() == ""
+
+
 def test_repeat_whose_span_needs_too_many_steps_exits_2(monkeypatch):
     # a finite plan of ~1e11 Taylor steps would run for days: refused
     # with exit 2 before the first step, not left running; an apply call
@@ -631,6 +651,42 @@ def test_main_error_exit_codes(tmp_path):
         assert main([]) == 2
         # unwritable output path
         assert main(["fig3", "-o", str(tmp_path / "no" / "dir" / "x.csv")]) == 4
+
+
+def test_set_without_equals_exits_2_and_writes_nothing(tmp_path):
+    out, err = tmp_path / "x.csv", io.StringIO()
+    with redirect_stderr(err):
+        assert main(["fig3", "--set", "g", "-o", str(out)]) == 2
+    assert err.getvalue() == "error: --set expects KEY=VALUE, got 'g'\n"
+    assert not out.exists()
+
+
+def test_numerics_error_exits_3_and_writes_nothing(tmp_path, monkeypatch):
+    # a runner's NumericsError is exit 3 with its message, before any CSV
+    message = "state invalid at t = 1: trace deviates from 1 by 1.000e+00"
+
+    def failing(cfg):
+        raise NumericsError(message)
+
+    monkeypatch.setattr(cli, "run_lindblad", failing)
+    out, err = tmp_path / "l.csv", io.StringIO()
+    with redirect_stderr(err):
+        assert main(["lindblad", "-o", str(out)]) == 3
+    assert err.getvalue() == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_options_may_come_before_or_after_the_mode(tmp_path):
+    ref = emit_csv(run_fig3(parse_config("", mode="fig3")))
+    out = tmp_path / "before.csv"
+    assert main(["-o", str(out), "fig3"]) == 0
+    assert out.read_text() == ref
+    cfg = _write(tmp_path, "g.cfg", "g = 0.2\n")
+    outs = [tmp_path / f"{k}.csv" for k in range(3)]
+    assert main(["-c", cfg, "--set", "f=0.5", "-o", str(outs[0]), "fig3"]) == 0
+    assert main(["-c", cfg, "fig3", "--set", "f=0.5", "-o", str(outs[1])]) == 0
+    assert main(["fig3", "-c", cfg, "--set", "f=0.5", "-o", str(outs[2])]) == 0
+    assert outs[0].read_text() == outs[1].read_text() == outs[2].read_text() != ref
 
 
 def test_lindblad_t_max_must_be_a_multiple_of_t_step():
@@ -794,7 +850,8 @@ def test_closed_form_subcommands_never_import_numpy(tmp_path):
         "for t in (2.0, [0.0, 2.0], (2.0,)):\n"
         "    calls = {'pointer_state': (p, 1), 'alpha_of_t': (p, -1, t),\n"
         "             'signal_amplitude': (p,), 'optimal_detuning': (p,),\n"
-        "             'outcome_probability': (p, 1.0, t, +1), 'gamma_m': (p,)}\n"
+        "             'outcome_probability': (p, 1.0, t, +1), 'gamma_m': (p,),\n"
+        "             'photon_numbers': (p,)}\n"
         "    assert sorted(calls) == sorted(a.__all__)\n"
         "    for name, args in calls.items():\n"
         "        getattr(a, name)(*args)\n"

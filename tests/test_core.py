@@ -351,6 +351,18 @@ def test_expm_action_matrix_state_and_zero_operator():
     assert zs[-1] is not zs[0]
 
 
+def test_expm_action_on_one_node_copies_y0_without_apply():
+    # the grid [0.0] is y0 itself: one fresh copy, and no apply call
+    def refused(y, out):
+        raise AssertionError("apply ran on a one-node grid")
+
+    y0 = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
+    ys = expm_action(refused, y0, [0.0], 1.0)
+    assert len(ys) == 1
+    np.testing.assert_array_equal(ys[0], y0)
+    assert ys[0] is not y0 and not np.shares_memory(ys[0], y0)
+
+
 def test_expm_action_input_validation():
     apply = lambda y, out: np.negative(y, out=out)
     y0 = np.array([1.0 + 0j])

@@ -753,6 +753,19 @@ def test_evolve_rejects_mismatched_space():
         evolve(liou, plus_vacuum(6), [0.0, 1.0])
 
 
+def test_evolve_names_the_time_of_an_invalid_node(monkeypatch):
+    # a propagator whose node at t = 0.5 has trace 2: evolve raises
+    # NumericsError naming that node's time and the validator's reason
+    def doubled(apply, y0, t_grid, norm):
+        return [y0.copy(), 2.0 * y0, y0.copy()]
+
+    monkeypatch.setattr(lindblad, "expm_action", doubled)
+    with pytest.raises(NumericsError,
+                       match=r"^state invalid at t = 0\.5: trace deviates from 1 by "
+                             r"1\.000e\+00$"):
+        evolve(build_liouvillian(P_ME, 6), plus_vacuum(6), [0.0, 0.5, 1.0])
+
+
 def test_truncation_overflow_flags_invalid():
     # one steady photon against a 4-level space: the top levels fill up
     p = SystemParams(epsilon=0.0, g=0.0, kappa=0.1, f=0.05, delta_omega=0.0,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -210,35 +210,44 @@ def _block_rows(y: np.ndarray) -> int:
 def expm_action(apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 y0: np.ndarray,
                 t_grid: Sequence[float],
-                norm: float) -> list[np.ndarray]:
-    """exp(A t) y0 at every node of t_grid (which starts at 0), for a
-    constant linear operator A given only through apply(y, out), which
-    writes A y into the C-contiguous complex array out (shaped like y,
-    never overlapping it) and returns out.
+                norm: float) -> Iterator[np.ndarray]:
+    """exp(A t) y0 at every node of t_grid (which starts at 0), yielded in
+    grid order, for a constant linear operator A given only through
+    apply(y, out), which writes A y into the C-contiguous complex array
+    out (shaped like y, never overlapping it) and returns out.
 
     norm bounds the 1-norm of A on y flattened.  s steps of length h of
     the degree-m Taylor series, (m, s) from the theta_m table, cover the
     span; a node in step i is sum_j r^j T_j, r = (t_node - i*h)/h, so the
     apply calls do not depend on the node count.  A step stops once two
     consecutive terms fall below _STOP_TOL of the partial sum, at its end
-    and at each node.  Nodes are fresh arrays; y0 is left untouched.
-    Raises ValueError past _MAX_STEPS steps, and NumericsError on
-    non-finite values, naming the step end.
+    and at each node.
+
+    The grid, norm and step budget are checked at the call (ValueError
+    past _MAX_STEPS steps), and y0 is copied then and left untouched.
+    The nodes come from a generator: a step's nodes are yielded once its
+    last term is in, and the generator keeps none it has yielded, so
+    only the current step's nodes are held.  Each node is a fresh array
+    that nothing writes to after it is yielded.  Iterating raises
+    NumericsError on non-finite values, naming the step end.
     """
-    t = _check_grid(t_grid)
+    # Python floats: bisect and scalar arithmetic stay cheap
+    t = _check_grid(t_grid).tolist()
     if not (norm >= 0.0 and math.isfinite(norm)):
         raise ValueError(f"norm must be finite and >= 0, got {norm}")
-
-    y = np.array(y0, dtype=complex)
-    out = [y.copy()]
-    if t.size == 1:
-        return out
-    t = t.tolist()    # Python floats: bisect and scalar arithmetic stay cheap
     least = norm * t[-1] / _THETA[55]    # no plan takes fewer steps
     if not least <= _MAX_STEPS:
         raise ValueError(f"span {t[-1]:.6g} is too long to propagate at "
                          f"norm {norm:.6g}: it needs at least {least:.3g} "
                          f"Taylor steps, limit {_MAX_STEPS:.0e}")
+    return _taylor_nodes(apply, np.array(y0, dtype=complex), t, norm)
+
+
+def _taylor_nodes(apply, y, t, norm):
+    # expm_action's generator; y is its own copy of y0, the partial sum
+    yield y.copy()
+    if len(t) == 1:
+        return
     # terms fill the rows of one block, reaching the nodes c - 1 at a time
     c = _block_rows(y)
     block = np.empty((c,) + y.shape, dtype=complex)
@@ -262,34 +271,39 @@ def expm_action(apply: Callable[[np.ndarray, np.ndarray], np.ndarray],
             c2 = _inf_norm(term)
             y_bound += c2
             y += term
-            if r:
-                w_prev, w = w, [wk * rk for wk, rk in zip(w, r)]
-            run.append(w)
             end = c1 + c2 <= _STOP_BOUND * y_bound and \
                 c1 + c2 <= _STOP_TOL * _inf_norm(y)
-            if end or len(run) == c - 1 or j == m:
-                # the free row: below the run, or above it
-                free = lo - 1 if lo else c - 1
-                spent = bufs[free]
-                if len(run) == 1:
-                    for z, wk in zip(nodes, w):
-                        z += np.multiply(term, wk, out=spent)
-                elif r:
-                    run_rows, out_f = rows[lo:lo + len(run)], rows[free]
-                    for z, wv in zip(nodes, np.array(run).T):
-                        wv.dot(run_rows, out=out_f)
-                        z += spent
-                # the next run must not start on the row apply reads next
-                lo, run = int(lo + len(run) == 1), []
+            if not r:
+                # no node in this step: only the next term's row changes
+                lo = 1 - lo
+            else:
+                w_prev, w = w, [wk * rk for wk, rk in zip(w, r)]
+                run.append(w)
+                if end or len(run) == c - 1 or j == m:
+                    # the free row: below the run, or above it
+                    free = lo - 1 if lo else c - 1
+                    spent = bufs[free]
+                    if len(run) == 1:
+                        for z, wk in zip(nodes, w):
+                            z += np.multiply(term, wk, out=spent)
+                    else:
+                        run_rows, out_f = rows[lo:lo + len(run)], rows[free]
+                        for z, wv in zip(nodes, np.array(run).T):
+                            wv.dot(run_rows, out=out_f)
+                            z += spent
+                    # the next run must not start on the row apply reads next
+                    lo, run = int(lo + len(run) == 1), []
             if end and all(wp * c1 + wk * c2 <= _STOP_TOL * _inf_norm(z)
                            for z, wp, wk in zip(nodes, w_prev, w)):
                 break
             c1 = c2
         if not np.all(np.isfinite(y.view(float))):
             raise NumericsError(f"non-finite state at t = {(i + 1) * h:.6g}")
-        out.extend(nodes)
+        yield from nodes
+        # let go before the next step's nodes are made, so that no node
+        # outlives its step here
+        nodes = z = None
         if t[k_end] == t_b:
-            out.append(y.copy())
+            yield y.copy()
             k_end += 1
         k = k_end
-    return out

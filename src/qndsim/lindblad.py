@@ -141,14 +141,15 @@ class Liouvillian:
 
 @dataclass(frozen=True, eq=False)
 class EvolutionRecord:
-    """Time series of states and derived observables from one evolve() call.
+    """Observables at every node of one evolve() call, and the state at
+    its last node (evolve keeps no other).
 
     truncation is None, or says how far and when the top two Fock levels
     passed their threshold.
     """
 
     t_grid: np.ndarray
-    states: list
+    state: DensityMatrix
     sigma_z: np.ndarray
     sigma_x: np.ndarray
     a_mean: np.ndarray
@@ -239,35 +240,41 @@ def evolve(liou: Liouvillian, rho0: DensityMatrix,
     for bit when exactly Hermitian), so every node is exactly Hermitian.
     Raises NumericsError if an evolved state is not a density matrix.
 
-    The observables come from three diagonals of each node: populations,
-    the +dim diagonal (sums to tr rho01) and the -1 diagonal (a_mean).
+    Nodes are streamed: each is validated and read as expm_action yields
+    it, and only the last is kept, so memory does not grow with the grid
+    beyond the observables.  These come from three diagonals of each
+    node: populations, the +dim diagonal (sums to tr rho01) and the -1
+    diagonal (a_mean).
     """
     m0 = rho0.matrix
     if m0.shape != liou.hamiltonian.shape:
         raise ValueError("rho0 lives on a different Fock space than the generator")
     t = np.asarray(t_grid, dtype=float)
-    mats = expm_action(liou.apply, 0.5 * (m0 + m0.conj().T), t, liou.norm_bound)
-    d = len(liou.hamiltonian) // 2
-    if liou.frame:
-        for m, phase in zip(mats, np.exp(-1j * liou.frame * t)):
+    nodes = expm_action(liou.apply, 0.5 * (m0 + m0.conj().T), t, liou.norm_bound)
+    n = len(liou.hamiltonian)
+    d = n // 2
+    pop = np.empty((len(t), n))
+    tr01 = np.empty(len(t), dtype=complex)
+    below = np.empty((len(t), n - 1), dtype=complex)    # the -1 diagonals
+    phases = np.exp(-1j * liou.frame * t)
+    for k, (m, tk, phase) in enumerate(zip(nodes, t, phases)):
+        if liou.frame:
             m[:d, d:] *= phase
             np.conjugate(m[:d, d:].T, out=m[d:, :d])
-
-    states = []
-    for tk, m in zip(t, mats):
         try:
-            states.append(DensityMatrix(m))
+            state = DensityMatrix(m)
         except ValueError as exc:
             raise NumericsError(f"state invalid at t = {tk:.6g}: {exc}") from exc
+        pop[k] = m.diagonal().real
+        tr01[k] = m.diagonal(d).sum()
+        below[k] = m.diagonal(-1)
 
-    pop = np.array([m.diagonal().real for m in mats])
-    tr01 = np.array([m.diagonal(d).sum() for m in mats])
     top = pop[:, [d - 2, d - 1, -2, -1]].sum(axis=1)
     return EvolutionRecord(
-        t_grid=t, states=states,
+        t_grid=t, state=state,
         sigma_z=pop[:, :d].sum(axis=1) - pop[:, d:].sum(axis=1),
         sigma_x=2.0 * tr01.real,
-        a_mean=np.array([m.diagonal(-1) for m in mats]) @ _ladder_diagonal(d),
+        a_mean=below @ _ladder_diagonal(d),
         n_mean=pop @ np.tile(np.arange(d, dtype=float), 2),
         coherence01=np.abs(tr01), top_fock=top,
         truncation=_truncation(top, "at t = {:g}", t))
@@ -315,7 +322,7 @@ def repeatability_experiment(liou: Liouvillian, rho0: DensityMatrix,
         for last, (weight, state) in mixtures.items():
             rec = evolve(liou, state, window)
             top[round_idx] = max(top[round_idx], rec.top_fock.max())
-            m = rec.states[-1].matrix
+            m = rec.state.matrix
             for k in (0, 1):
                 sl = slice(k * dim, (k + 1) * dim)
                 block = m[sl, sl]

@@ -36,6 +36,7 @@ from qndsim.core import (
 from qndsim.lindblad import build_liouvillian, evolve, repeatability_experiment
 
 from closed_forms import coherence_solution, conditional_amplitude
+from node_states import evolve_keeping_states
 from test_lindblad import _superoperator
 
 # pinned master-equation operating point: conditioned detunings 0 and 0.6
@@ -67,11 +68,12 @@ def test_criterion_1_conditional_amplitudes_track_pointer_states():
     t0 = perf_counter()
     p = SystemParams(gamma1=0.0, gamma2=0.0, **P_BASE)
     tg = np.linspace(0.0, 40.0, 81)
-    rec = evolve(build_liouvillian(p, N_FOCK), _plus_vacuum(N_FOCK), tg)
+    rec, states = evolve_keeping_states(build_liouvillian(p, N_FOCK),
+                                        _plus_vacuum(N_FOCK), tg)
     worst = 0.0
     for qubit_index, sz in ((0, +1), (1, -1)):
         me = np.array([conditional_amplitude(st, qubit_index)
-                       for st in rec.states])
+                       for st in states])
         ref = np.array(alpha_of_t(p, sz, tg.tolist()))
         worst = max(worst, float(np.max(np.abs(me - ref))))
     elapsed = perf_counter() - t0
@@ -311,19 +313,22 @@ def test_criterion_7_numerical_hygiene(tmp_path):
     t0 = perf_counter()
     runs = []
     p1 = SystemParams(**P_BASE)
-    runs.append(evolve(build_liouvillian(p1, N_FOCK), _plus_vacuum(N_FOCK),
-                       np.linspace(0.0, 20.0, 41)))
+    runs.append(evolve_keeping_states(build_liouvillian(p1, N_FOCK),
+                                      _plus_vacuum(N_FOCK),
+                                      np.linspace(0.0, 20.0, 41))[1])
     p2 = SystemParams(epsilon=1.0, delta=0.1, g=0.02, kappa=0.1, f=0.3,
                       delta_omega=math.hypot(1.0, 0.1), s_ii=20.0)
-    runs.append(evolve(build_liouvillian(p2, N_FOCK),
-                       _sector_vacuum(N_FOCK, 0), np.linspace(0.0, 20.0, 41)))
+    runs.append(evolve_keeping_states(build_liouvillian(p2, N_FOCK),
+                                      _sector_vacuum(N_FOCK, 0),
+                                      np.linspace(0.0, 20.0, 41))[1])
     p3 = SystemParams(gamma1=0.02, gamma2=0.05, **P_BASE)
-    runs.append(evolve(build_liouvillian(p3, N_FOCK), _plus_vacuum(N_FOCK),
-                       np.linspace(0.0, 20.0, 41)))
+    runs.append(evolve_keeping_states(build_liouvillian(p3, N_FOCK),
+                                      _plus_vacuum(N_FOCK),
+                                      np.linspace(0.0, 20.0, 41))[1])
     trace_dev = herm_dev = 0.0
     min_eig = 0.0
-    for rec in runs:
-        for st in rec.states:
+    for states in runs:
+        for st in states:
             m = st.matrix
             trace_dev = max(trace_dev, abs(m.trace() - 1.0))
             herm_dev = max(herm_dev, float(np.max(np.abs(m - m.conj().T))))

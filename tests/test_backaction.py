@@ -232,8 +232,9 @@ def test_number_correlator_matches_quantum_regression():
     # apply takes Hermitian input only: by linearity, propagate the
     # Hermitian parts of y0 = h1 + i h2 separately and recombine
     h1, h2 = 0.5 * (y0 + y0.conj().T), -0.5j * (y0 - y0.conj().T)
-    ys1, ys2 = (expm_action(liou.apply, h, taus, liou.norm_bound)
+    ys1, ys2 = (list(expm_action(liou.apply, h, taus, liou.norm_bound))
                 for h in (h1, h2))
+    assert len(ys1) == len(ys2) == len(taus)
     c_me = np.array([np.einsum("ij,ji->", n_full, a + 1j * b)
                      for a, b in zip(ys1, ys2)])
     c_model = number_correlator(p, taus)
@@ -241,6 +242,20 @@ def test_number_correlator_matches_quantum_regression():
 
 
 # ---------------------------------------------------------------- golden rates
+
+def test_rates_refuse_a_spectrum_with_no_balance_temperature():
+    # at E = delta_omega ~ 1e150 and kappa = 1e-10, S(E) underflows to 0
+    # while S(-E) = 3.96e-10 stays finite
+    p = SystemParams(epsilon=1e150, delta=1e149, kappa=1e-10, f=1e140,
+                     delta_omega=math.hypot(1e150, 1e149), s_ii=1.0)
+    basis = eigenbasis(p.epsilon, p.delta)
+    assert basis.splitting == p.delta_omega
+    assert spectral_density(p, basis.splitting) == 0.0
+    assert spectral_density(p, -basis.splitting) == pytest.approx(3.96e-10,
+                                                                  rel=1e-3)
+    with pytest.raises(ValueError, match="^gamma_down = 0 with gamma_up > 0"):
+        rates(p, basis)
+
 
 def test_rates_frozen_symmetric_point():
     rs = rates(P_SYM, B_SYM)

@@ -415,6 +415,32 @@ def test_run_sweep_requires_sweep_and_valid_domain():
         run_sweep(bad)
 
 
+def test_run_sweep_refuses_a_mode_without_a_sweep():
+    # main sends only analytic and backaction here; a direct call with a
+    # fig3 config that sets the sweep keys is refused by name
+    cfg = parse_config("sweep_param = g\nsweep_start = 0.1\n"
+                       "sweep_stop = 0.2\nsweep_count = 3\n", mode="fig3")
+    with pytest.raises(ConfigError, match="^mode 'fig3' does not take a sweep$"):
+        run_sweep(cfg)
+
+
+def test_backaction_sweep_with_no_balance_temperature_exits_2():
+    # S(E) underflows to 0 while S(-E) = 3.96e-10: gamma_down = 0 with
+    # gamma_up > 0, one error line and no CSV
+    err, out = io.StringIO(), io.StringIO()
+    with redirect_stderr(err), redirect_stdout(out):
+        assert main(["backaction", "--set", "epsilon=1e150",
+                     "--set", "delta=1e149", "--set", "kappa=1e-10",
+                     "--set", "f=1e140",
+                     "--set", f"delta_omega={math.hypot(1e150, 1e149)!r}",
+                     "--set", "sweep_param=g", "--set", "sweep_start=0.1",
+                     "--set", "sweep_stop=0.3", "--set", "sweep_count=3"]) == 2
+    assert err.getvalue() == ("error: sweep left the valid parameter domain: "
+                              "gamma_down = 0 with gamma_up > 0: no balance "
+                              "temperature exists for this spectrum\n")
+    assert out.getvalue() == ""
+
+
 def test_swept_kappa_uses_its_own_noise_floor():
     # s_ii unset is 2/kappa of the kappa in use, so a kappa sweep point
     # equals the fig3 row at the same (kappa, delta_omega)

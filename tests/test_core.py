@@ -340,13 +340,14 @@ def test_expm_action_exact_on_irregular_nodes():
 def test_expm_action_matrix_state_and_zero_operator():
     a = np.array([[0.0, 1.0], [-1.0, 0.0]])    # exp(a t) is a rotation
     y0 = np.eye(2, dtype=complex)
-    ys = expm_action(lambda y, out: np.matmul(a, y, out=out), y0,
-                     [0.0, 0.5, 2.0], 1.0)
+    ys = list(expm_action(lambda y, out: np.matmul(a, y, out=out), y0,
+                          [0.0, 0.5, 2.0], 1.0))
+    assert len(ys) == 3
     for t, y in zip((0.0, 0.5, 2.0), ys):
         rot = np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
         np.testing.assert_allclose(y, rot, atol=1e-15)
-    zs = expm_action(lambda y, out: np.multiply(0.0, y, out=out), y0,
-                     [0.0, 1.0], 0.0)
+    zs = list(expm_action(lambda y, out: np.multiply(0.0, y, out=out), y0,
+                          [0.0, 1.0], 0.0))
     np.testing.assert_array_equal(zs[-1], y0)
     assert zs[-1] is not zs[0]
 
@@ -357,7 +358,7 @@ def test_expm_action_on_one_node_copies_y0_without_apply():
         raise AssertionError("apply ran on a one-node grid")
 
     y0 = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
-    ys = expm_action(refused, y0, [0.0], 1.0)
+    ys = list(expm_action(refused, y0, [0.0], 1.0))
     assert len(ys) == 1
     np.testing.assert_array_equal(ys[0], y0)
     assert ys[0] is not y0 and not np.shares_memory(ys[0], y0)
@@ -399,7 +400,7 @@ def test_expm_action_refuses_a_plan_over_the_step_budget(monkeypatch):
     monkeypatch.setattr(core, "_MAX_STEPS", 3)
     span = 3 * core._THETA[55]
     assert core._taylor_plan(span) == (55, 3)
-    y = expm_action(apply, y0, [0.0, span], 1.0)[-1]
+    y = list(expm_action(apply, y0, [0.0, span], 1.0))[-1]
     assert y[0] == pytest.approx(math.exp(-span), rel=1e-12)
     with pytest.raises(ValueError, match="needs at least 3.01 Taylor steps"):
         expm_action(refused, y0, [0.0, 1.003 * span], 1.0)
@@ -410,9 +411,9 @@ def test_expm_action_flags_nonfinite_state():
     # Taylor terms overflow within the first of two substeps (dt / s = 5)
     with np.errstate(all="ignore"):
         with pytest.raises(NumericsError, match="non-finite state at t = 5$"):
-            expm_action(lambda y, out: np.multiply(1e200, y, out=out),
-                        np.array([1.0 + 0j]),
-                        [0.0, 10.0], 1.0)
+            list(expm_action(lambda y, out: np.multiply(1e200, y, out=out),
+                             np.array([1.0 + 0j]),
+                             [0.0, 10.0], 1.0))
 
 
 def test_expm_action_nodes_are_fresh_arrays():
@@ -420,8 +421,9 @@ def test_expm_action_nodes_are_fresh_arrays():
     a = np.array([[-0.3, 1.0], [-1.0, -0.1]])
     y0 = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
     before = y0.copy()
-    ys = expm_action(lambda y, out: np.matmul(a, y, out=out), y0,
-                     [0.0, 0.25, 1.0, 4.0], 1.3)
+    ys = list(expm_action(lambda y, out: np.matmul(a, y, out=out), y0,
+                          [0.0, 0.25, 1.0, 4.0], 1.3))
+    assert len(ys) == 4
     np.testing.assert_array_equal(y0, before)
     for k, y in enumerate(ys):
         assert not np.shares_memory(y, y0)
@@ -443,11 +445,11 @@ def test_expm_action_step_ends_do_not_depend_on_interior_nodes():
     span = 30.0 / norm
     h = span / core._taylor_plan(30.0)[1]
     apply = lambda y, out: np.matmul(a, y, out=out)
-    bare = expm_action(apply, y0, [0.0, span], norm)
-    on_end = expm_action(apply, y0, [0.0, h, span], norm)
-    dense = expm_action(apply, y0, np.concatenate((
+    bare = list(expm_action(apply, y0, [0.0, span], norm))
+    on_end = list(expm_action(apply, y0, [0.0, h, span], norm))
+    dense = list(expm_action(apply, y0, np.concatenate((
         np.linspace(0.0, 0.9 * h, 7), [np.nextafter(h, 0.0), h,
-                                        np.nextafter(h, np.inf), 2.5 * h, span])), norm)
+                                        np.nextafter(h, np.inf), 2.5 * h, span])), norm))
     np.testing.assert_array_equal(on_end[-1], bare[-1])
     np.testing.assert_array_equal(dense[-1], bare[-1])
     np.testing.assert_array_equal(dense[8], on_end[1])
@@ -462,7 +464,7 @@ def _terms_per_step(a, y0, grid, norm):
         ids.append(id(y))
         return np.matmul(a, y, out=out)
 
-    ys = expm_action(apply, y0, grid, norm)
+    ys = list(expm_action(apply, y0, grid, norm))
     starts = [k for k, i in enumerate(ids) if i == ids[0]]
     return ys, np.diff(starts + [len(ids)])
 

@@ -42,6 +42,7 @@ from qndsim.lindblad import (
 
 from closed_forms import (coherence_solution, conditional_amplitude, expectation,
                           partial_trace, qubit_operator)
+from node_states import evolve_keeping_states
 from tables import seeded_cases
 
 # the weak-drive operating point exercised throughout: conditioned
@@ -359,7 +360,7 @@ def test_expm_action_dense_output_matches_dense_exponential(seed, fock_dim,
         [span - 0.3 * h, span]))
     assert np.all(np.diff(grid) > 0.0)
     rho0 = _random_state(2 * fock_dim, seed)
-    got = expm_action(liou.apply, rho0, grid, liou.norm_bound)
+    got = list(expm_action(liou.apply, rho0, grid, liou.norm_bound))
     assert len(got) == len(grid)
     sup = _superoperator(liou)
     # one exponential per grid interval, chained; its own rounding at the
@@ -420,7 +421,7 @@ def test_expm_action_matches_the_eager_norm_loop(monkeypatch):
         norms.clear()
         with monkeypatch.context() as patch:
             patch.setattr(core, "_STOP_BOUND", stop_bound)
-            ys = expm_action(apply, rho0, grid, liou.norm_bound)
+            ys = list(expm_action(apply, rho0, grid, liou.norm_bound))
         # each step's first apply call reads the partial sum itself
         starts = [k for k, i in enumerate(ids) if i == ids[0]]
         runs.append((ys, np.diff(starts + [len(ids)]), len(norms)))
@@ -504,7 +505,7 @@ def _fold_and_per_term_runs(liou, y0, grid, monkeypatch, node_norm_scale):
                 ids.append(id(y))
                 return liou.apply(y, out)
 
-            ys = propagate(apply, y0, grid, liou.norm_bound)
+            ys = list(propagate(apply, y0, grid, liou.norm_bound))
             returned = {id(z) for z in ys}
             assert all((id(a) in returned) == node for a, node in normed)
             starts = [k for k, i in enumerate(ids) if i == ids[0]]
@@ -584,12 +585,40 @@ def test_expm_action_memory_stays_near_three_states():
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        ys = expm_action(liou.apply, y0, grid, liou.norm_bound)
+        ys = list(expm_action(liou.apply, y0, grid, liou.norm_bound))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    assert len(ys) == len(grid)
     held = sum(y.nbytes for y in ys)
     assert (peak - held) / y0.nbytes <= 3.5
+
+
+def test_evolve_memory_does_not_grow_with_the_grid():
+    # evolve streams its nodes and keeps the last state: from 100 to 400
+    # nodes over 6 Taylor steps, the peak grows by a step's share of the
+    # added nodes (1/6 state each) and their observables, under half a
+    # state per added node.  Keeping every node costs a whole state each
+    liou = build_liouvillian(SystemParams(
+        epsilon=1.0, delta=0.1, g=0.02, kappa=0.1, f=0.3, delta_omega=0.92,
+        gamma1=0.05, gamma2=0.02, s_ii=20.0), 12)
+    rho0 = plus_vacuum(12)
+    assert core._taylor_plan(50.0)[1] == 6
+    span = 50.0 / liou.norm_bound
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in (100, 400):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rec = evolve(liou, rho0, np.linspace(0.0, span, n))
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            assert len(rec.top_fock) == n
+            del rec
+    finally:
+        tracemalloc.stop()
+    per_node = (peaks[1] - peaks[0]) / 300
+    assert per_node < 0.5 * rho0.matrix.nbytes, (peaks, per_node)
 
 
 def test_evolve_apply_calls_do_not_depend_on_the_grid(monkeypatch):
@@ -609,8 +638,9 @@ def test_evolve_apply_calls_do_not_depend_on_the_grid(monkeypatch):
     counts = []
     for n in (2, 41, 401):
         calls.clear()
-        rec = evolve(liou, plus_vacuum(12), np.linspace(0.0, 20.0, n))
-        assert len(rec.states) == n
+        _, states = evolve_keeping_states(liou, plus_vacuum(12),
+                                          np.linspace(0.0, 20.0, n))
+        assert len(states) == n
         counts.append(len(calls))
     assert counts[0] == counts[1] == counts[2]
 
@@ -666,15 +696,16 @@ def test_driven_cavity_reaches_coherent_steady_state():
 
 def test_evolution_record_observables():
     dim = 10
-    rec = evolve(build_liouvillian(P_ME, dim), plus_vacuum(dim),
-                 np.linspace(0.0, 10.0, 6))
+    rec, states = evolve_keeping_states(build_liouvillian(P_ME, dim),
+                                        plus_vacuum(dim),
+                                        np.linspace(0.0, 10.0, 6))
     # sigma_z commutes with the generator at delta = 0
     np.testing.assert_allclose(rec.sigma_z, np.zeros(6), atol=1e-10)
     assert rec.coherence01[0] == pytest.approx(0.5, abs=1e-14)
     assert rec.a_mean[0] == 0.0
     assert np.all(np.diff(rec.n_mean[:3]) > 0.0)
     assert rec.truncation is None
-    traces = [abs(st.matrix.trace() - 1.0) for st in rec.states]
+    traces = [abs(st.matrix.trace() - 1.0) for st in states]
     assert max(traces) < 1e-9
 
 
@@ -694,8 +725,8 @@ def test_evolve_observables_match_operator_traces(seed, fock_dim, phys):
            "n_mean": tensor(ident, number_operator(fock_dim)),
            "top_fock": tensor(ident, top)}
     rho0 = DensityMatrix(_random_state(2 * fock_dim, seed))
-    rec = evolve(liou, rho0, np.linspace(0.0, 1.0, 4))
-    for k, st in enumerate(rec.states):
+    rec, states = evolve_keeping_states(liou, rho0, np.linspace(0.0, 1.0, 4))
+    for k, st in enumerate(states):
         for name, op in ops.items():
             ref = expectation(st, op)
             if name != "a_mean":
@@ -720,9 +751,9 @@ def test_sigma_z_evolve_matches_the_lab_frame_exponential(seed, fock_dim,
     assert liou.frame == phys["epsilon"]
     rho0 = _random_state(2 * fock_dim, seed)
     grid = np.linspace(0.0, span, 7)
-    rec = evolve(liou, DensityMatrix(rho0), grid)
+    _, states = evolve_keeping_states(liou, DensityMatrix(rho0), grid)
     sup = _superoperator(_lab_frame(liou))
-    for t, st in zip(grid, rec.states):
+    for t, st in zip(grid, states):
         ref = scipy.linalg.expm(sup * t) @ rho0.ravel()
         assert np.max(np.abs(st.matrix.ravel() - ref)) <= 1e-12
         assert np.array_equal(st.matrix, st.matrix.conj().T)
@@ -740,9 +771,9 @@ def test_evolve_projects_rho0_onto_its_hermitian_part():
     noisy = herm + 1e-12j * (noise + noise.T)   # anti-Hermitian part only
     assert not np.array_equal(noisy, noisy.conj().T)
     grid = np.linspace(0.0, 5.0, 6)
-    rec = evolve(liou, DensityMatrix(noisy), grid)
-    ref = evolve(liou, DensityMatrix(herm), grid)
-    for st, st_ref in zip(rec.states, ref.states):
+    _, states = evolve_keeping_states(liou, DensityMatrix(noisy), grid)
+    _, ref = evolve_keeping_states(liou, DensityMatrix(herm), grid)
+    for st, st_ref in zip(states, ref):
         assert np.array_equal(st.matrix, st.matrix.conj().T)
         assert np.array_equal(st.matrix, st_ref.matrix)
 
@@ -796,10 +827,11 @@ def test_unstable_step_raises_numerics_error():
 def test_conditional_amplitudes_follow_pointer_trajectories():
     dim = 12
     tg = np.linspace(0.0, 10.0, 21)
-    rec = evolve(build_liouvillian(P_ME, dim), plus_vacuum(dim), tg)
+    _, states = evolve_keeping_states(build_liouvillian(P_ME, dim),
+                                      plus_vacuum(dim), tg)
     for qubit_index, sz in ((0, +1), (1, -1)):
         me = np.array([conditional_amplitude(st, qubit_index)
-                       for st in rec.states])
+                       for st in states])
         ref = np.array(alpha_of_t(P_ME, sz, tg.tolist()))
         assert np.max(np.abs(me - ref)) < 1e-6
 
@@ -1037,7 +1069,7 @@ def _outcome_tree(liou, rho0, t_meas, n_meas):
         for weight, state, last in branches:
             rec = evolve(liou, state, [0.0, t_meas])
             tops.append((weight, last, rec.top_fock))
-            m = rec.states[-1].matrix
+            m = rec.state.matrix
             for k in (0, 1):
                 sl = slice(k * dim, (k + 1) * dim)
                 w_k = m[sl, sl].trace().real

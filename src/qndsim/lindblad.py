@@ -141,8 +141,7 @@ class Liouvillian:
 
 @dataclass(frozen=True, eq=False)
 class EvolutionRecord:
-    """Observables at every node of one evolve() call, and the state at
-    its last node (evolve keeps no other).
+    """Observables at every node of one evolve() call, and its last state.
 
     truncation is None, or says how far and when the top two Fock levels
     passed their threshold.
@@ -240,11 +239,9 @@ def evolve(liou: Liouvillian, rho0: DensityMatrix,
     for bit when exactly Hermitian), so every node is exactly Hermitian.
     Raises NumericsError if an evolved state is not a density matrix.
 
-    Nodes are streamed: each is validated and read as expm_action yields
-    it, and only the last is kept, so memory does not grow with the grid
-    beyond the observables.  These come from three diagonals of each
-    node: populations, the +dim diagonal (sums to tr rho01) and the -1
-    diagonal (a_mean).
+    Each node is read as expm_action yields it; only the last is kept.
+    The observables come from three diagonals of each node: populations,
+    the +dim diagonal (sums to tr rho01) and the -1 diagonal (a_mean).
     """
     m0 = rho0.matrix
     if m0.shape != liou.hamiltonian.shape:
